@@ -19,8 +19,6 @@ from . import formats
 from .crown import CrownDecomposition, validate_crown
 from .errors import ParseError, RekernError, SizeGuardExceeded
 from .framework import (
-    Compositionality,
-    Monotonicity,
     builtin_spec,
     compositional_reopt_kernelize,
     exact_component_kernelizer,
@@ -127,19 +125,9 @@ def _cmd_reopt(args: argparse.Namespace) -> int:
         return 0
     if doc.problem is None:
         raise ParseError("generic dispatch needs the document's problem kind")
-    spec = builtin_spec(doc.problem)
-    want_comp = Compositionality.OR if args.comp == "or" else Compositionality.AND
-    want_mono = (
-        Monotonicity.MONOTONE if args.mono == "m" else Monotonicity.COMONOTONE
-    )
-    if spec.compositionality is not want_comp or spec.monotonicity is not want_mono:
-        raise ParseError(
-            f"{doc.problem.value} is registered as "
-            f"({spec.compositionality.value}, {spec.monotonicity.value})"
-        )
     inst = _reopt_instance_from_doc(doc, doc.problem)
     result = compositional_reopt_kernelize(
-        inst, spec, exact_component_kernelizer(doc.problem)
+        inst, builtin_spec(doc.problem), exact_component_kernelizer(doc.problem)
     )
     sys.stdout.write(
         formats.emit_result(result, notes={"problem": doc.problem.value})
@@ -226,12 +214,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         crown_data = doc.notes.get("crown")
         if crown_data is None:
             raise ParseError("document notes must carry a 'crown' object")
-        cd = CrownDecomposition.of(
-            crown_data["C"],
-            crown_data["H"],
-            crown_data["R"],
-            Matching.of((int(u), int(v)) for u, v in crown_data["M"]),
-        )
+        with formats.as_parse_error("crown notes"):
+            cd = CrownDecomposition.of(
+                (int(x) for x in crown_data["C"]),
+                (int(x) for x in crown_data["H"]),
+                (int(x) for x in crown_data["R"]),
+                Matching.of((int(u), int(v)) for u, v in crown_data["M"]),
+            )
         violations = validate_crown(doc.graph, cd)
         _print_json({"valid": not violations, "violations": violations})
         return 0 if not violations else VALIDATION_ERROR
@@ -318,8 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     reopt_sub = reopt.add_subparsers(dest="action", required=True)
     reopt_k = reopt_sub.add_parser("kernelize")
     reopt_k.add_argument("--problem", choices=["ivst", "generic"], required=True)
-    reopt_k.add_argument("--comp", choices=["or", "and"], default="or")
-    reopt_k.add_argument("--mono", choices=["m", "c"], default="c")
     reopt_k.add_argument("--input", default="-")
     reopt_k.set_defaults(func=_cmd_reopt)
 

@@ -13,7 +13,12 @@ from typing import Iterable
 
 from .errors import InternalInvariantBroken, PreconditionViolated
 from .graphs import Graph, normalize_edge
-from .matching import Matching, alternating_reachability, maximum_bipartite_matching
+from .matching import (
+    Matching,
+    alternating_reachability,
+    greedy_matching,
+    maximum_bipartite_matching,
+)
 
 
 @dataclass(frozen=True)
@@ -68,27 +73,12 @@ def validate_crown(g: Graph, cd: CrownDecomposition) -> list[str]:
     return violations
 
 
-def is_valid_crown(g: Graph, cd: CrownDecomposition) -> bool:
-    return not validate_crown(g, cd)
-
-
 @dataclass(frozen=True)
 class CrownOrMatching:
     """Outcome of the crown lemma: exactly one field is set."""
 
     crown: CrownDecomposition | None = None
     matching: Matching | None = None
-
-
-def _greedy_maximal_matching(g: Graph) -> Matching:
-    used: set[int] = set()
-    pairs = []
-    for u, v in g.sorted_edges():
-        if u not in used and v not in used:
-            pairs.append((u, v))
-            used.add(u)
-            used.add(v)
-    return Matching.of(pairs)
 
 
 def crown_or_matching(g: Graph, k: int) -> CrownOrMatching:
@@ -109,7 +99,7 @@ def crown_or_matching(g: Graph, k: int) -> CrownOrMatching:
     if g.n < 3 * k + 1:
         raise PreconditionViolated(f"need at least {3 * k + 1} vertices, got {g.n}")
 
-    m1 = _greedy_maximal_matching(g)
+    m1 = greedy_matching(dict(enumerate(g.adjacency)))
     if m1.size >= k + 1:
         return CrownOrMatching(matching=Matching.of(sorted(m1.pairs)[: k + 1]))
 

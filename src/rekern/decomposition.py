@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, components
+from .graphs import Graph, components, induced_subgraph
 
 
 @dataclass(frozen=True)
@@ -43,13 +43,7 @@ def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> list[str]:
         holding = [i for i, bag in enumerate(td.bags) if v in bag]
         if not holding:
             continue
-        sub, _ = _induced_tree(td.tree, holding)
+        sub, _ = induced_subgraph(td.tree, holding)
         if len(components(sub)) != 1:
             violations.append(f"bags containing vertex {v} do not form a subtree")
     return violations
-
-
-def _induced_tree(tree: Graph, nodes: list[int]) -> tuple[Graph, tuple[int, ...]]:
-    from .graphs import induced_subgraph
-
-    return induced_subgraph(tree, nodes)

@@ -9,8 +9,9 @@ graph and is 1-indexed on the wire, 0-indexed in the model.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterator
 
 from .errors import ParseError
 from .graphs import (
@@ -135,6 +136,16 @@ def _require(cond: bool, message: str) -> None:
         raise ParseError(message)
 
 
+@contextmanager
+def as_parse_error(what: str) -> Iterator[None]:
+    """Report a missing or ill-typed field inside the block as a ParseError."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed {what}: {exc!r}") from exc
+
+
+@as_parse_error("instance document")
 def _parse_json_instance(data: dict[str, Any]) -> InstanceDocument:
     _require(data.get("format") == FORMAT_NAME, "not a rekern instance document")
     _require(int(data.get("version", 0)) == FORMAT_VERSION, "unsupported version")
@@ -273,6 +284,7 @@ def emit_result(result: KernelResult, notes: dict[str, Any] | None = None) -> st
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+@as_parse_error("result document")
 def parse_result(text: str) -> KernelResult:
     try:
         data = json.loads(text)

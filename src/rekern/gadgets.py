@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .decomposition import TreeDecomposition, validate_tree_decomposition
 from .errors import (
     OracleTooSlow,
     UnsupportedCombination,
@@ -40,11 +39,7 @@ from .oracles import SIZE_GUARDS, membership
 from .problems import ProblemKind
 from .setcover import SetCoverInstance
 
-# re-exported here because tree decompositions are gadget-adjacent types
 __all__ = [
-    "TreeDecomposition",
-    "validate_tree_decomposition",
-    "SetCoverInstance",
     "SetCoverCvcGadget",
     "build_extremal",
     "is_extremal",

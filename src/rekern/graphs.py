@@ -118,13 +118,6 @@ class Digraph:
     def from_arcs(cls, n: int, arcs: Iterable[Sequence[int]] = ()) -> "Digraph":
         return cls(n, frozenset((u, v) for u, v in arcs))
 
-    @cached_property
-    def out_adjacency(self) -> tuple[frozenset[int], ...]:
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        for u, v in self.arcs:
-            adj[u].add(v)
-        return tuple(frozenset(s) for s in adj)
-
 
 # --- local modifications -------------------------------------------------
 
@@ -284,10 +277,6 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     elif g2.labels is not None:
         labels = tuple(f"a{i}" for i in range(g1.n)) + g2.labels
     return Graph(g1.n + g2.n, edges, labels)
-
-
-def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(components(g)) == 1
 
 
 # --- small builders used throughout tests and gadgets ---------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .errors import SidesOverlap, TargetUnmatched
 from .graphs import Edge, Graph, normalize_edge
@@ -51,15 +51,24 @@ class Matching:
             partners[v] = u
         return partners
 
-    def covers_edges_of(self, g: Graph) -> bool:
-        return all(pair in g.edges for pair in self.pairs)
 
-    def restricted_to(self, keep: Iterable[int]) -> "Matching":
-        """Sub-matching of pairs with both endpoints in ``keep``."""
-        keep_set = set(keep)
-        return Matching(
-            frozenset(p for p in self.pairs if p[0] in keep_set and p[1] in keep_set)
-        )
+def greedy_matching(adjacency: Mapping[int, Iterable[int]]) -> Matching:
+    """Maximal matching: each free vertex, in ascending order, takes its
+    smallest free neighbour.
+
+    This picks the same pairs as scanning the edges in lexicographic order.
+    """
+    used: set[int] = set()
+    pairs: list[Edge] = []
+    for v in sorted(adjacency):
+        if v in used:
+            continue
+        for w in sorted(adjacency[v]):
+            if w not in used:
+                used.update((v, w))
+                pairs.append(normalize_edge(v, w))
+                break
+    return Matching(frozenset(pairs))
 
 
 def _check_sides(g: Graph, side_a: frozenset[int], side_b: frozenset[int]) -> None:

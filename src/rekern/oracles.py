@@ -22,6 +22,7 @@ from .decomposition import TreeDecomposition, validate_tree_decomposition
 from .errors import SizeGuardExceeded, UnsupportedProblem
 from .graphs import Digraph, Graph, components, induced_subgraph, normalize_edge
 from .instances import KernelResult
+from .matching import greedy_matching
 from .problems import Direction, ProblemKind, direction_of
 from .setcover import SetCoverInstance
 
@@ -140,22 +141,6 @@ def _anchor_component(g: Graph, vs: frozenset[int]) -> tuple[set[int], bool]:
     return comp, len(comp) == len(vs)
 
 
-def _matching_lower_bound(adj: dict[int, set[int]]) -> int:
-    """Greedy matching size: each matched edge forces one cover vertex."""
-    used: set[int] = set()
-    count = 0
-    for v in sorted(adj):
-        if v in used:
-            continue
-        for w in sorted(adj[v]):
-            if w not in used:
-                used.add(v)
-                used.add(w)
-                count += 1
-                break
-    return count
-
-
 def _cvc_completions(
     g: Graph,
     cover: frozenset[int],
@@ -222,7 +207,8 @@ def _solve_cvc(
         if done or len(chosen) > limit:
             return
         live = {v: ns for v, ns in adj.items() if ns}
-        if len(chosen) + _matching_lower_bound(live) > limit:
+        # Each edge of a matching forces its own cover vertex.
+        if len(chosen) + greedy_matching(live).size > limit:
             return
         if best and len(chosen) > best[0][0]:
             return

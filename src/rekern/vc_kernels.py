@@ -295,17 +295,7 @@ def reopt_vc_kernelize_2k_report(inst: ReoptInstance) -> ReoptVcReport:
 
     for _ in range(2 * stripped.n + 4):
         _check_partition_bounds(stripped, part, k_bound)
-
-        def region(x: int) -> str:
-            if x in part.b_unmatched:
-                return "BU"
-            if x in part.b1:
-                return "B1"
-            if x in part.b2 or x in part.b3:
-                return "B23"
-            raise InternalInvariantBroken(f"endpoint {x} is not in B")
-
-        ru, rv = region(su), region(sv)
+        ru, rv = _region(part, su), _region(part, sv)
         regions = {ru, rv}
 
         if regions == {"B23"}:
@@ -341,51 +331,45 @@ def reopt_vc_kernelize_2k_report(inst: ReoptInstance) -> ReoptVcReport:
                 budget, claim, branch, trace,
             )
 
+        # Cases 4 and 5: an endpoint in B1 loses its partner by flipping
+        # one alternating path, and the dispatch starts over.
+        x = su if ru == "B1" else sv
+        forbidden = None
         if regions == {"B1", "B23"}:
             branch = branch or "case4"
-            trace.append("case4")
-            x = su if ru == "B1" else sv
-            rematched = rematch_to_expose(
-                stripped, part.cover, part.independent, part.matching, x
-            )
-            if rematched is None:
-                raise InternalInvariantBroken(
-                    "no alternating escape for a vertex reachable from unmatched B"
-                )
-            part = _partition_from_matching(stripped, part.cover, rematched)
-            continue
-
-        # Case 5: one endpoint in B1, the other in B1 or unmatched B.
-        branch = branch or "case5"
-        if regions == {"B1"}:
-            trace.append("case5-rematch-v")
-            target = max(su, sv)
-            rematched = rematch_to_expose(
-                stripped, part.cover, part.independent, part.matching, target
-            )
-            if rematched is None:
-                raise InternalInvariantBroken(
-                    "no alternating escape for a vertex reachable from unmatched B"
-                )
-            part = _partition_from_matching(stripped, part.cover, rematched)
-            continue
-
-        # regions == {"B1", "BU"}
-        x = su if ru == "B1" else sv  # in B1
-        y = sv if x == su else su  # in unmatched B
+            target, marker = x, "case4"
+        elif regions == {"B1"}:
+            branch = branch or "case5"
+            target, marker = max(su, sv), "case5-rematch-v"
+        else:  # regions == {"B1", "BU"}: the escape must avoid the other end
+            branch = branch or "case5"
+            forbidden = sv if x == su else su
+            target, marker = x, "case5-rematch-u"
         rematched = rematch_to_expose(
-            stripped, part.cover, part.independent, part.matching, x, forbidden=y
+            stripped, part.cover, part.independent, part.matching, target,
+            forbidden=forbidden,
         )
         if rematched is not None:
-            trace.append("case5-rematch-u")
+            trace.append(marker)
             part = _partition_from_matching(stripped, part.cover, rematched)
             continue
+        if forbidden is None:
+            raise InternalInvariantBroken(
+                "no alternating escape for a vertex reachable from unmatched B"
+            )
 
-        # Every alternating path from x to unmatched B leads through y:
-        # the pairs that lose reachability when y disappears move to the
-        # rest together with y itself.
+        # Every alternating path from x to unmatched B leads through the
+        # blocker y: the pairs that lose reachability when y disappears
+        # move to the rest together with y itself.  y is unmatched, so
+        # dropping it from side B only drops it from the start frontier.
         trace.append("case5-degenerate")
-        b_v, a_v = _vanishing_pairs(stripped, part, y)
+        y = forbidden
+        _, still_reached = alternating_reachability(
+            stripped, part.cover, part.independent - {y}, part.matching, "B"
+        )
+        b_v = part.b1 - still_reached
+        partners = part.matching.partner_map()
+        a_v = frozenset(partners[b] for b in b_v)
         if x not in b_v:
             raise InternalInvariantBroken(
                 "endpoint with no escape still reachable without the blocker"
@@ -402,29 +386,15 @@ def reopt_vc_kernelize_2k_report(inst: ReoptInstance) -> ReoptVcReport:
     raise InternalInvariantBroken("case dispatch did not terminate")
 
 
-def _vanishing_pairs(
-    g: Graph, part: ReoptPartition, banned: int
-) -> tuple[frozenset[int], frozenset[int]]:
-    """B1/A1 pairs whose alternating reachability from unmatched B
-    vanishes when ``banned`` is removed from the graph."""
-    partners = part.matching.partner_map()
-    frontier = sorted(part.b_unmatched - {banned})
-    seen_a: set[int] = set()
-    seen_b: set[int] = set()
-    queue = list(frontier)
-    while queue:
-        x = queue.pop(0)
-        for a in sorted(g.adjacency[x] & part.cover):
-            if a in seen_a:
-                continue
-            seen_a.add(a)
-            partner = partners.get(a)
-            if partner is not None and partner != banned and partner not in seen_b:
-                seen_b.add(partner)
-                queue.append(partner)
-    b_v = part.b1 - frozenset(seen_b)
-    a_v = frozenset(partners[b] for b in b_v)
-    return b_v, a_v
+def _region(part: ReoptPartition, x: int) -> str:
+    """Which part of B a new-edge endpoint lies in."""
+    if x in part.b_unmatched:
+        return "BU"
+    if x in part.b1:
+        return "B1"
+    if x in part.b2 or x in part.b3:
+        return "B23"
+    raise InternalInvariantBroken(f"endpoint {x} is not in B")
 
 
 def _check_partition_bounds(g: Graph, part: ReoptPartition, k_bound: int) -> None:

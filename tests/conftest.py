@@ -6,11 +6,6 @@ import pytest
 from rekern.graphs import Graph
 
 
-def random_graph(rng: random.Random, n: int, p: float) -> Graph:
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-    return Graph.from_edges(n, edges)
-
-
 def all_labeled_graphs(n: int):
     """Every labeled graph on n vertices (use only for tiny n)."""
     pairs = list(combinations(range(n), 2))

@@ -63,7 +63,7 @@ def test_crown_or_matching_preconditions():
 
 
 def test_crown_dichotomy_on_random_graphs(rng):
-    from tests.conftest import random_graph
+    from rekern.smallgraphs import random_graph
 
     checked = 0
     for _ in range(300):

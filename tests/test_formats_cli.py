@@ -300,8 +300,40 @@ def test_cli_reopt_generic_and_ivst(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["answer"] is True
     code, out = run_cli(
-        capsys, "reopt", "kernelize", "--problem", "generic",
-        "--comp", "or", "--mono", "c", "--input", str(path),
+        capsys, "reopt", "kernelize", "--problem", "generic", "--input", str(path),
     )
     assert code == 0
     assert json.loads(out)["answer"] is True
+
+
+def _malformed_reopt_documents():
+    def doc(**changes):
+        data = {
+            "format": "rekern-instance",
+            "version": 1,
+            "problem": "vertex_cover",
+            "graph": {"n": 3, "edges": [[0, 1]]},
+            "k": 1,
+            "witness": [0],
+            "modification": {"op": "edge_add", "u": 1, "v": 2},
+        }
+        data.update(changes)
+        return data
+
+    return {
+        "missing-n": doc(graph={"edges": [[0, 1]]}),
+        "one-element-edge": doc(graph={"n": 3, "edges": [[0]]}),
+        "non-integer-version": doc(version="x"),
+        "edge-add-without-v": doc(modification={"op": "edge_add", "u": 1}),
+        "short-labels": doc(graph={"n": 3, "edges": [[0, 1]], "labels": ["a"]}),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_malformed_reopt_documents()))
+def test_cli_malformed_document_is_a_usage_error(name, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_malformed_reopt_documents()[name]))
+    code, out = run_cli(
+        capsys, "kernelize", "vc", "--mode", "reopt2k", "--input", str(path)
+    )
+    assert code == 2 and out == ""

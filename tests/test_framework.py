@@ -128,7 +128,8 @@ def test_vertex_del_degree_bound():
 
 
 def test_dispatch_agrees_with_oracle_random(rng):
-    from tests.conftest import absent_pairs, random_graph
+    from rekern.smallgraphs import random_graph
+    from tests.conftest import absent_pairs
 
     cases = 0
     for _ in range(120):

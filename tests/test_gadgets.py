@@ -76,7 +76,7 @@ def test_is_extremal_maximal_mode():
     "problem", [PK.LONGEST_PATH, PK.IVST, PK.CLIQUE, PK.TREEWIDTH]
 )
 def test_negative_instance_membership_matches_carrier(problem, mode, rng):
-    from tests.conftest import random_graph
+    from rekern.smallgraphs import random_graph
 
     for _ in range(12):
         n = rng.randint(1, 6)
@@ -141,7 +141,7 @@ def test_clique_vplus_examples():
 
 @pytest.mark.parametrize("mode", ["edge", "vertex"])
 def test_clique_builders_equivalence(mode, rng):
-    from tests.conftest import random_graph
+    from rekern.smallgraphs import random_graph
 
     for _ in range(15):
         g = random_graph(rng, rng.randint(1, 5), 0.5)

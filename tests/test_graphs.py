@@ -66,7 +66,8 @@ def test_vertex_add_appends_last_index():
 
 
 def test_modification_round_trip(rng):
-    from tests.conftest import absent_pairs, random_graph
+    from rekern.smallgraphs import random_graph
+    from tests.conftest import absent_pairs
 
     for _ in range(50):
         g = random_graph(rng, rng.randint(2, 9), 0.4)
@@ -92,7 +93,7 @@ def test_components_partition_and_component_of():
 
 
 def test_components_cover_disjoint_connected(rng):
-    from tests.conftest import random_graph
+    from rekern.smallgraphs import random_graph
 
     for _ in range(40):
         g = random_graph(rng, rng.randint(1, 10), 0.25)
@@ -117,7 +118,7 @@ def test_disjoint_union_shifts_and_counts():
 
 
 def test_disjoint_union_commutes_with_components(rng):
-    from tests.conftest import random_graph
+    from rekern.smallgraphs import random_graph
 
     for _ in range(25):
         g1 = random_graph(rng, rng.randint(1, 6), 0.4)

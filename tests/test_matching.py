@@ -62,7 +62,7 @@ def test_sides_overlap_rejected():
 
 
 def test_matching_matches_brute_force(rng):
-    from tests.conftest import random_graph
+    from rekern.smallgraphs import random_graph
 
     checked = 0
     for _ in range(120):
@@ -82,7 +82,7 @@ def test_matching_matches_brute_force(rng):
 
 
 def test_matching_determinism(rng):
-    from tests.conftest import random_graph
+    from rekern.smallgraphs import random_graph
 
     for _ in range(20):
         g = random_graph(rng, 7, 0.5)
@@ -115,7 +115,7 @@ def test_alternating_reachability_examples():
 
 
 def test_alternating_reachability_disjoint_for_maximum(rng):
-    from tests.conftest import random_graph
+    from rekern.smallgraphs import random_graph
 
     def check(g, side_a, side_b):
         m = maximum_bipartite_matching(g, side_a, side_b)
@@ -164,7 +164,7 @@ def test_rematch_requires_matched_target():
 
 
 def test_rematch_preserves_cardinality_and_exposes_target(rng):
-    from tests.conftest import random_graph
+    from rekern.smallgraphs import random_graph
 
     exercised = 0
     for _ in range(200):
@@ -188,3 +188,53 @@ def test_rematch_preserves_cardinality_and_exposes_target(rng):
         assert previously & side_a <= res.vertices()  # A-side stays covered
         exercised += 1
     assert exercised > 30
+
+
+def test_greedy_matching_is_the_lexicographic_edge_greedy():
+    from rekern.matching import greedy_matching
+    from rekern.smallgraphs import all_graphs_upto
+
+    for g in all_graphs_upto(7):
+        used: set[int] = set()
+        by_edges = set()
+        for u, v in g.sorted_edges():
+            if u not in used and v not in used:
+                by_edges.add((u, v))
+                used |= {u, v}
+        full = greedy_matching(dict(enumerate(g.adjacency)))
+        live = greedy_matching({v: ns for v, ns in enumerate(g.adjacency) if ns})
+        assert full.pairs == live.pairs == by_edges, g
+        matched = full.vertices()
+        assert all(u in matched or v in matched for u, v in g.edges), g
+
+
+def test_reachability_without_an_unmatched_blocker():
+    """Dropping an unmatched B vertex from side B reaches what the same
+    search reaches on the graph with that vertex deleted."""
+    from rekern.graphs import induced_subgraph
+    from rekern.oracles import all_minimum_vertex_covers
+    from rekern.smallgraphs import all_graphs_upto
+
+    checked = 0
+    for g in all_graphs_upto(7):
+        for side_a in all_minimum_vertex_covers(g):
+            side_b = frozenset(g.vertices) - side_a
+            m = maximum_bipartite_matching(g, side_a, side_b)
+            for y in sorted(side_b - m.vertices()):
+                dropped = alternating_reachability(
+                    g, side_a, side_b - {y}, m, "B"
+                )
+                sub, idx = induced_subgraph(g, [w for w in g.vertices if w != y])
+                back = {old: new for new, old in enumerate(idx)}
+                on_sub = alternating_reachability(
+                    sub,
+                    {back[a] for a in side_a},
+                    {back[b] for b in side_b - {y}},
+                    Matching.of((back[u], back[v]) for u, v in m.pairs),
+                    "B",
+                )
+                assert dropped == tuple(
+                    frozenset(idx[w] for w in reached) for reached in on_sub
+                ), (g, side_a, y)
+                checked += 1
+    assert checked > 1000

@@ -59,7 +59,7 @@ def test_vc_known_values():
 
 
 def test_vc_matches_brute_force_and_witness_is_lex_min(rng):
-    from tests.conftest import random_graph
+    from rekern.smallgraphs import random_graph
 
     for _ in range(80):
         g = random_graph(rng, rng.randint(1, 8), 0.4)
@@ -78,7 +78,7 @@ def test_vc_matches_brute_force_and_witness_is_lex_min(rng):
 
 
 def test_treewidth_known_values_and_brute(rng):
-    from tests.conftest import random_graph
+    from rekern.smallgraphs import random_graph
 
     assert solve_exact(PK.TREEWIDTH, path_graph(6)).value == 1
     assert solve_exact(PK.TREEWIDTH, star_graph(5)).value == 1
@@ -112,7 +112,7 @@ def test_clique_known_values():
 
 
 def test_cvc_examples_and_relation_to_vc(rng):
-    from tests.conftest import random_graph
+    from rekern.smallgraphs import random_graph
 
     assert solve_exact(PK.CONNECTED_VERTEX_COVER, star_graph(4)).value == 1
     assert solve_exact(PK.CONNECTED_VERTEX_COVER, path_graph(4)).value == 2
@@ -156,7 +156,7 @@ def test_verify_solution_examples():
 
 
 def test_witnesses_verify_across_kinds(rng):
-    from tests.conftest import random_graph
+    from rekern.smallgraphs import random_graph
 
     for _ in range(40):
         g = random_graph(rng, rng.randint(1, 7), 0.45)
@@ -166,7 +166,7 @@ def test_witnesses_verify_across_kinds(rng):
 
 
 def test_oracle_determinism(rng):
-    from tests.conftest import random_graph
+    from rekern.smallgraphs import random_graph
 
     for _ in range(15):
         g = random_graph(rng, 7, 0.4)
@@ -198,7 +198,8 @@ def test_verify_kernel_equivalence_examples():
 
 
 def test_min_problem_monotone_under_edge_addition(rng):
-    from tests.conftest import absent_pairs, random_graph
+    from rekern.smallgraphs import random_graph
+    from tests.conftest import absent_pairs
 
     for _ in range(40):
         g = random_graph(rng, rng.randint(2, 6), 0.4)

@@ -112,7 +112,7 @@ def test_3k_kernel_spec_examples():
 
 
 def test_3k_kernel_bound_and_equivalence(rng):
-    from tests.conftest import random_graph
+    from rekern.smallgraphs import random_graph
 
     for _ in range(150):
         g = random_graph(rng, rng.randint(1, 12), rng.uniform(0.1, 0.6))
@@ -157,7 +157,7 @@ def test_partition_rejects_non_cover():
 
 
 def test_partition_invariants_random(rng):
-    from tests.conftest import random_graph
+    from rekern.smallgraphs import random_graph
 
     for _ in range(100):
         g = random_graph(rng, rng.randint(2, 9), 0.4)
@@ -274,7 +274,8 @@ def test_reopt_exhaustive_small(rng):
 
 
 def test_reopt_non_tight_witness(rng):
-    from tests.conftest import absent_pairs, random_graph
+    from rekern.smallgraphs import random_graph
+    from tests.conftest import absent_pairs
 
     from rekern.oracles import is_vertex_cover
 
