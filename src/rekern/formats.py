@@ -213,6 +213,7 @@ def parse_dimacs(text: str) -> Graph:
                 n, declared_m = int(parts[2]), int(parts[3])
             except ValueError:
                 raise ParseError(f"line {lineno}: non-integer sizes") from None
+            _require(n >= 0, f"line {lineno}: negative vertex count")
         elif parts[0] == "e":
             _require(n is not None, f"line {lineno}: edge before problem line")
             _require(len(parts) == 3, f"line {lineno}: expected 'e <u> <v>'")

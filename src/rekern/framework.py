@@ -299,10 +299,9 @@ def check_composition(
 
     pool = [g for n in range(1, size_bound + 1) for g in nonisomorphic_graphs(n)]
     for k in range(0, size_bound + 1):
-        for g1 in pool:
-            in1 = spec.oracle(g1, k)
-            for g2 in pool:
-                in2 = spec.oracle(g2, k)
+        members = [spec.oracle(g, k) for g in pool]
+        for g1, in1 in zip(pool, members):
+            for g2, in2 in zip(pool, members):
                 union_in = spec.oracle(disjoint_union(g1, g2), k)
                 if mode is Compositionality.OR:
                     expected = in1 or in2

@@ -9,12 +9,18 @@ solver enumerates candidates directly.
 
 Oracles are deliberately slow and simple: they are the verification
 backbone for every kernelizer in the package, so they must be obviously
-correct rather than fast.
+correct rather than fast.  The one concession is memory: per-component
+solves of vertex cover, treewidth, IVST, longest path and clique are
+memoized on the unlabelled component ``(n, edges)`` in a bounded LRU
+cache (``_solve_component``), because kernel checks and compositional
+dispatch ask about the same small graphs again and again.  Size guards
+run before every lookup, so a cached answer never bypasses a guard.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Any, Iterable
 
@@ -650,6 +656,28 @@ def _count_out_tree_leaves(arcs: list[tuple[int, int]]) -> int:
 # --- dispatch ----------------------------------------------------------------
 
 
+# Solvers whose answer depends on the unlabelled component alone.
+_COMPONENT_SOLVERS = {
+    ProblemKind.VERTEX_COVER: _solve_vertex_cover,
+    ProblemKind.TREEWIDTH: _solve_treewidth,
+    ProblemKind.IVST: _solve_ivst,
+    ProblemKind.LONGEST_PATH: _solve_longest_path,
+    ProblemKind.CLIQUE: _solve_clique,
+}
+
+
+@lru_cache(maxsize=256)
+def _solve_component(
+    kind: ProblemKind, n: int, edges: frozenset[tuple[int, int]]
+) -> ExactSolution:
+    """Exact solution of one component, memoized on ``(kind, n, edges)``.
+
+    Labels are not part of the key, so a hit returns exactly what the
+    solver returns on the unlabelled graph.  Callers run ``_guard`` first.
+    """
+    return _COMPONENT_SOLVERS[kind](Graph(n, edges))
+
+
 def _weak_components(d: Digraph) -> list[list[int]]:
     undirected = Graph.from_edges(d.n, [(u, v) for u, v in d.arcs])
     return components(undirected)
@@ -711,7 +739,7 @@ def solve_exact(
         for comp in components(g):
             sub, idx = induced_subgraph(g, comp)
             _guard(kind, sub.n, limit)
-            local = _solve_vertex_cover(sub)
+            local = _solve_component(kind, sub.n, sub.edges)
             total += local.value
             vc_witness |= frozenset(idx[v] for v in local.witness)
         return ExactSolution(total, vc_witness)
@@ -728,7 +756,7 @@ def solve_exact(
         for comp in components(g):
             sub, idx = induced_subgraph(g, comp)
             _guard(kind, sub.n, limit)
-            local = _solve_treewidth(sub)
+            local = _solve_component(kind, sub.n, sub.edges)
             td: TreeDecomposition = local.witness
             offset = len(all_bags)
             if offset:
@@ -741,28 +769,22 @@ def solve_exact(
         )
         return ExactSolution(width, combined)
 
-    per_component = {
-        ProblemKind.IVST: _solve_ivst,
-        ProblemKind.LONGEST_PATH: _solve_longest_path,
-        ProblemKind.CLIQUE: _solve_clique,
-    }
-    if kind not in per_component:
+    if kind not in _COMPONENT_SOLVERS:
         raise UnsupportedProblem(f"no exact solver for {kind}")
-    solver = per_component[kind]
 
-    # Maximum-over-components problems: solution objects are connected.
+    # Maximum-over-components problems (IVST, longest path, clique):
+    # solution objects are connected.
     best_value: int | None = None
     best_witness: Any = None
     for comp in components(g):
         sub, idx = induced_subgraph(g, comp)
         _guard(kind, sub.n, limit)
-        local = solver(sub)
+        local = _solve_component(kind, sub.n, sub.edges)
         if best_value is None or (local.value is not None and local.value > best_value):
             best_value = local.value
             best_witness = _map_witness(kind, local.witness, idx)
     if best_value is None:  # empty graph
-        empty = solver(g)
-        return ExactSolution(empty.value, empty.witness)
+        return _solve_component(kind, g.n, g.edges)
     return ExactSolution(best_value, best_witness)
 
 

@@ -244,6 +244,8 @@ def reopt_vc_kernelize_2k_report(inst: ReoptInstance) -> ReoptVcReport:
         raise WitnessNotACover("the 2k kernel needs a vertex cover witness")
     cover = frozenset(inst.witness)
     g = inst.original
+    if any(not 0 <= x < g.n for x in cover):
+        raise WitnessNotACover(f"witness has vertices outside 0..{g.n - 1}")
     if not is_vertex_cover(g, cover):
         raise WitnessNotACover("witness does not cover every edge")
     if len(cover) > inst.k:

@@ -108,6 +108,8 @@ def test_parse_errors_carry_diagnostics():
         formats.parse_dimacs("p edge 3 1\ne 1 9\n")
     with pytest.raises(ParseError, match="declares"):
         formats.parse_dimacs("p edge 3 5\ne 1 2\n")
+    with pytest.raises(ParseError, match="negative"):
+        formats.parse_dimacs("p edge -1 0\n")
     with pytest.raises(ParseError):
         formats.parse_instance("")
     with pytest.raises(ParseError):
@@ -337,3 +339,26 @@ def test_cli_malformed_document_is_a_usage_error(name, tmp_path, capsys):
         capsys, "kernelize", "vc", "--mode", "reopt2k", "--input", str(path)
     )
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("witness", [[0, 2, 9], [0, 2, -1]])
+def test_cli_reopt_rejects_out_of_range_witness(witness, tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text(
+        json.dumps(
+            {
+                "format": "rekern-instance",
+                "version": 1,
+                "problem": "vertex_cover",
+                "graph": {"n": 4, "edges": [[0, 1], [2, 3]]},
+                "k": 3,
+                "k_modified": 3,
+                "witness": witness,
+                "modification": {"op": "edge_add", "u": 1, "v": 3},
+            }
+        )
+    )
+    code, out = run_cli(
+        capsys, "kernelize", "vc", "--mode", "reopt2k", "--input", str(path)
+    )
+    assert code == 4 and out == ""

@@ -14,6 +14,7 @@ from rekern.graphs import (
     star_graph,
 )
 from rekern.instances import KernelResult
+from rekern import oracles
 from rekern.oracles import (
     is_connected_vertex_cover,
     is_vertex_cover,
@@ -180,8 +181,43 @@ def test_size_guards():
         solve_exact(PK.VERTEX_COVER, big)
     # explicit limit override admits it
     assert solve_exact(PK.VERTEX_COVER, big, limit=25).value == 12
+    # ... and its cached answer does not get past the default guard
+    with pytest.raises(SizeGuardExceeded):
+        solve_exact(PK.VERTEX_COVER, big)
     with pytest.raises(SizeGuardExceeded):
         solve_exact(PK.TREEWIDTH, complete_graph(11))
+
+
+@pytest.mark.parametrize(
+    "kind, raw",
+    [
+        pytest.param(kind, raw, id=kind.value)
+        for kind, raw in [
+            (PK.VERTEX_COVER, oracles._solve_vertex_cover),
+            (PK.TREEWIDTH, oracles._solve_treewidth),
+            (PK.IVST, oracles._solve_ivst),
+            (PK.LONGEST_PATH, oracles._solve_longest_path),
+            (PK.CLIQUE, oracles._solve_clique),
+        ]
+    ],
+)
+def test_component_cache_is_transparent(kind, raw):
+    """On every connected atlas graph up to 7 vertices, a cold and a warm
+    ``solve_exact`` both equal the raw solver, and the warm call is a hit."""
+    from rekern.graphs import components
+    from rekern.smallgraphs import all_graphs_upto
+
+    oracles._solve_component.cache_clear()
+    for g in all_graphs_upto(7):
+        if len(components(g)) != 1:
+            continue
+        expected = raw(g)
+        before = oracles._solve_component.cache_info()
+        assert solve_exact(kind, g) == expected
+        middle = oracles._solve_component.cache_info()
+        assert middle.misses == before.misses + 1
+        assert solve_exact(kind, g) == expected
+        assert oracles._solve_component.cache_info().hits == middle.hits + 1
 
 
 def test_verify_kernel_equivalence_examples():
