@@ -17,8 +17,9 @@ from typing import Any
 
 from . import formats
 from .crown import CrownDecomposition, validate_crown
-from .errors import ParseError, RekernError, SizeGuardExceeded
+from .errors import ParseError, PreconditionViolated, RekernError, SizeGuardExceeded
 from .framework import (
+    Compositionality,
     builtin_spec,
     compositional_reopt_kernelize,
     exact_component_kernelizer,
@@ -114,10 +115,26 @@ def _cmd_kernelize(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_witness(inst: ReoptInstance) -> None:
+    """An OR-compositional dispatch answers yes from the witness alone, so
+    the witness must solve the original instance at ``k``.  A witness of
+    the wrong shape (say, a vertex list for IVST) is a usage error."""
+    if inst.witness is None:
+        return
+    with formats.as_parse_error("witness"):
+        valid = verify_solution(inst.problem, inst.original, inst.witness, inst.k)
+    if not valid:
+        raise PreconditionViolated(
+            f"witness does not solve the original {inst.problem.value} "
+            f"instance at k = {inst.k}"
+        )
+
+
 def _cmd_reopt(args: argparse.Namespace) -> int:
     doc = _load_instance(args.input)
     if args.problem == "ivst":
         inst = _reopt_instance_from_doc(doc, ProblemKind.IVST)
+        _check_witness(inst)
         result = ivst_reopt_kernelize_eplus(
             inst, exact_component_kernelizer(ProblemKind.IVST)
         )
@@ -126,8 +143,11 @@ def _cmd_reopt(args: argparse.Namespace) -> int:
     if doc.problem is None:
         raise ParseError("generic dispatch needs the document's problem kind")
     inst = _reopt_instance_from_doc(doc, doc.problem)
+    spec = builtin_spec(doc.problem)
+    if spec.compositionality is Compositionality.OR:
+        _check_witness(inst)
     result = compositional_reopt_kernelize(
-        inst, builtin_spec(doc.problem), exact_component_kernelizer(doc.problem)
+        inst, spec, exact_component_kernelizer(doc.problem)
     )
     sys.stdout.write(
         formats.emit_result(result, notes={"problem": doc.problem.value})

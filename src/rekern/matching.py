@@ -1,10 +1,14 @@
 """Bipartite matchings, alternating reachability, and rematching.
 
-All routines are deterministic: vertices are scanned in ascending index
-order and the first augmenting path found is applied.  Edges lying inside
-``side_a`` are permitted in the host graph (a vertex cover side may have
-internal edges) and are ignored by the matching machinery; edges inside
-``side_b`` are likewise ignored.
+All routines are deterministic and iterative, so their stack depth does
+not grow with the input.  ``maximum_bipartite_matching`` is Hopcroft and
+Karp's algorithm (SIAM J. Comput. 1973): a greedy start, one pass that
+drops the free side-A vertices without an augmenting path, then phases
+of shortest vertex-disjoint augmenting paths.  Side A is scanned in
+descending index order and neighbours in ascending order.  Edges lying
+inside ``side_a`` are permitted in the host graph (a vertex cover side
+may have internal edges) and are ignored by the matching machinery;
+edges inside ``side_b`` are likewise ignored.
 """
 
 from __future__ import annotations
@@ -74,8 +78,10 @@ def greedy_matching(adjacency: Mapping[int, Iterable[int]]) -> Matching:
 def _check_sides(g: Graph, side_a: frozenset[int], side_b: frozenset[int]) -> None:
     if side_a & side_b:
         raise SidesOverlap(f"sides share vertices {sorted(side_a & side_b)}")
-    for v in side_a | side_b:
-        g._check_vertex(v)
+    both = side_a | side_b
+    if both:
+        g._check_vertex(min(both))
+        g._check_vertex(max(both))
 
 
 def _cross_adjacency(
@@ -85,32 +91,153 @@ def _cross_adjacency(
     return {a: sorted(g.adjacency[a] & side_b) for a in sorted(side_a)}
 
 
+_FREE = -1  # ``mate`` of an unmatched vertex
+_OFF = -1  # ``dist`` of a vertex outside the current phase's layered graph
+
+
+def _live_roots(
+    g: Graph, side_a: frozenset[int], side_b: frozenset[int], mate: list[int]
+) -> list[int]:
+    """The free side-A vertices that end an augmenting path, descending.
+
+    One backward alternating search from the free side-B vertices: from a
+    B-vertex to its A-neighbours, from an A-vertex to its mate.  A free
+    A-vertex it misses has no augmenting path now, and never gets one,
+    because augmenting never unmatches a vertex.
+    """
+    free_a = [a for a in sorted(side_a, reverse=True) if mate[a] == _FREE]
+    if not free_a:
+        return free_a
+    closed = [True] * g.n  # False for a side-A vertex not yet reached
+    for a in side_a:
+        closed[a] = False
+    queue = [b for b in side_b if mate[b] == _FREE]
+    for b in queue:
+        for a in g.adjacency[b]:
+            if not closed[a]:
+                closed[a] = True
+                if mate[a] != _FREE:
+                    queue.append(mate[a])
+    return [a for a in free_a if closed[a]]
+
+
+def _layer(
+    roots: list[int], adj: dict[int, list[int]], mate: list[int], dist: list[int]
+) -> tuple[int | None, list[int]]:
+    """Breadth-first layers of side A from the free roots, up to the first
+    layer with a free B-neighbour.
+
+    Sets ``dist`` on every layered vertex and returns that layer's index
+    (``None`` when no free B-vertex is reachable, so the matching is
+    maximum) with the layered vertices.
+    """
+    for r in roots:
+        dist[r] = 0
+    layered = list(roots)
+    frontier = roots
+    limit = 0
+    while frontier:
+        following = []
+        found = False
+        for a in frontier:
+            for b in adj[a]:
+                nxt = mate[b]
+                if nxt == _FREE:
+                    found = True
+                elif dist[nxt] == _OFF:
+                    dist[nxt] = limit + 1
+                    following.append(nxt)
+        if found:
+            for a in following:
+                dist[a] = _OFF
+            return limit, layered
+        layered += following
+        frontier = following
+        limit += 1
+    return None, layered
+
+
+def _augment_from(
+    root: int,
+    limit: int,
+    adj: dict[int, list[int]],
+    mate: list[int],
+    dist: list[int],
+    pos: list[int],
+) -> None:
+    """Depth-first search for one augmenting path from ``root`` through
+    consecutive layers; flip it if it ends at a free B-vertex next to the
+    last layer.
+
+    ``pos`` keeps each vertex's place in its neighbour list, and a vertex
+    that dead-ends, or lies on the flipped path, leaves the layered graph
+    (``dist`` set to ``_OFF``) for the rest of the phase.
+    """
+    stack = [root]
+    while stack:
+        a = stack[-1]
+        d, nbrs, i = dist[a], adj[a], pos[a]
+        while i < len(nbrs):
+            b = nbrs[i]
+            i += 1
+            nxt = mate[b]
+            if nxt == _FREE:
+                if d == limit:
+                    for on_path in reversed(stack):
+                        held = mate[on_path]
+                        mate[on_path], mate[b] = b, on_path
+                        dist[on_path] = _OFF
+                        b = held
+                    return
+            elif dist[nxt] == d + 1:
+                pos[a] = i
+                stack.append(nxt)
+                break
+        else:
+            pos[a] = i
+            dist[a] = _OFF
+            stack.pop()
+
+
 def maximum_bipartite_matching(
     g: Graph, side_a: Iterable[int], side_b: Iterable[int]
 ) -> Matching:
     """Maximum matching of the bipartite subgraph between the two sides.
 
-    Augmenting-path search (Kuhn's algorithm), deterministic for a fixed
-    input.  Only edges with one endpoint per side take part.
+    Hopcroft-Karp, O(m sqrt(n)), deterministic for a fixed input.  Each
+    side-A vertex, in descending order, first takes its smallest free
+    neighbour; free A-vertices without an augmenting path are then
+    dropped for good.  Each phase layers the graph by a breadth-first
+    search from the remaining free A-vertices, up to the first layer that
+    sees a free B-vertex, and runs an iterative depth-first search from
+    each of them in descending order, trying neighbours in ascending
+    order; a vertex that dead-ends leaves the layered graph until the
+    next phase.  Only edges with one endpoint per side take part.
     """
     a_set, b_set = frozenset(side_a), frozenset(side_b)
     _check_sides(g, a_set, b_set)
     adj = _cross_adjacency(g, a_set, b_set)
-    match_of_b: dict[int, int] = {}
-
-    def try_augment(a: int, visited_b: set[int]) -> bool:
+    mate = [_FREE] * g.n
+    for a in sorted(a_set, reverse=True):
         for b in adj[a]:
-            if b in visited_b:
-                continue
-            visited_b.add(b)
-            if b not in match_of_b or try_augment(match_of_b[b], visited_b):
-                match_of_b[b] = a
-                return True
-        return False
+            if mate[b] == _FREE:
+                mate[a], mate[b] = b, a
+                break
 
-    for a in sorted(a_set):
-        try_augment(a, set())
-    return Matching.of((a, b) for b, a in match_of_b.items())
+    roots = _live_roots(g, a_set, b_set, mate)
+    dist = [_OFF] * g.n
+    pos = [0] * g.n
+    while roots:
+        limit, layered = _layer(roots, adj, mate, dist)
+        if limit is None:
+            break
+        for root in roots:
+            _augment_from(root, limit, adj, mate, dist, pos)
+        for a in layered:
+            dist[a] = _OFF
+            pos[a] = 0
+        roots = [r for r in roots if mate[r] == _FREE]
+    return Matching.of((a, mate[a]) for a in a_set if mate[a] != _FREE)
 
 
 def alternating_reachability(

@@ -362,3 +362,78 @@ def test_cli_reopt_rejects_out_of_range_witness(witness, tmp_path, capsys):
         capsys, "kernelize", "vc", "--mode", "reopt2k", "--input", str(path)
     )
     assert code == 4 and out == ""
+
+
+def _ivst_document(graph, k, witness, added=(2, 3)):
+    return json.dumps(
+        {
+            "format": "rekern-instance",
+            "version": 1,
+            "problem": "ivst",
+            "graph": graph,
+            "k": k,
+            "modification": {"op": "edge_add", "u": added[0], "v": added[1]},
+            "witness": witness,
+        }
+    )
+
+
+@pytest.mark.parametrize("problem", ["ivst", "generic"])
+def test_cli_reopt_rejects_a_witness_that_is_not_a_subtree(problem, tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text(_ivst_document({"n": 4, "edges": []}, 1, [[0, 1], [1, 9]]))
+    code, out = run_cli(
+        capsys, "reopt", "kernelize", "--problem", problem, "--input", str(path)
+    )
+    assert code == 4 and out == ""
+
+
+@pytest.mark.parametrize("problem", ["ivst", "generic"])
+def test_cli_reopt_accepts_a_subtree_witness(problem, tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text(
+        _ivst_document(
+            {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]},
+            2,
+            [[0, 1], [1, 2], [2, 3]],
+            added=(0, 3),
+        )
+    )
+    code, out = run_cli(
+        capsys, "reopt", "kernelize", "--problem", problem, "--input", str(path)
+    )
+    assert code == 0 and json.loads(out)["answer"] is True
+
+
+def test_cli_reopt2k_on_a_long_augmenting_chain(tmp_path, capsys):
+    """A staircase of 5,000 A-vertices: A-vertex i is adjacent to B-vertices
+    i - 1 and i, and a leaf hangs off the top A-vertex.  Adding the edge
+    from the top B-vertex to the leaf needs no rematch and takes the
+    degenerate case 5 branch, at the default recursion limit."""
+    a_side = 5000
+    edges = [[i, a_side + i] for i in range(a_side)]
+    edges += [[i, a_side + i - 1] for i in range(1, a_side)]
+    edges.append([a_side - 1, 2 * a_side])
+    path = tmp_path / "chain.json"
+    path.write_text(
+        json.dumps(
+            {
+                "format": "rekern-instance",
+                "version": 1,
+                "problem": "vertex_cover",
+                "graph": {"n": 2 * a_side + 1, "edges": edges},
+                "k": a_side,
+                "k_modified": a_side,
+                "witness": list(range(a_side)),
+                "modification": {"op": "edge_add", "u": 2 * a_side - 1, "v": 2 * a_side},
+            }
+        )
+    )
+    code, out = run_cli(
+        capsys, "kernelize", "vc", "--mode", "reopt2k", "--input", str(path)
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["notes"]["branch"] == "case5"
+    assert payload["notes"]["trace"] == ["case5-degenerate"]
+    assert payload["graph"]["n"] == 2 * a_side + 1

@@ -2,8 +2,8 @@ from itertools import combinations
 
 import pytest
 
-from rekern.errors import SidesOverlap, TargetUnmatched
-from rekern.graphs import Graph, cycle_graph, star_graph
+from rekern.errors import SidesOverlap, TargetUnmatched, VertexOutOfRange
+from rekern.graphs import Graph, cycle_graph, path_graph, star_graph
 from rekern.matching import (
     Matching,
     alternating_reachability,
@@ -238,3 +238,73 @@ def test_reachability_without_an_unmatched_blocker():
                 ), (g, side_a, y)
                 checked += 1
     assert checked > 1000
+
+
+def test_out_of_range_side_vertices_rejected():
+    g = path_graph(4)
+    m = Matching.of([(0, 1)])
+    calls = [
+        lambda a, b: maximum_bipartite_matching(g, a, b),
+        lambda a, b: alternating_reachability(g, a, b, m, "B"),
+        lambda a, b: rematch_to_expose(g, a, b, m, 1),
+    ]
+    for bad in (g.n, -1):
+        for side_a, side_b in (({0, 2, bad}, {1, 3}), ({0, 2}, {1, 3, bad})):
+            for call in calls:
+                with pytest.raises(VertexOutOfRange):
+                    call(side_a, side_b)
+        # an overlap is reported before a vertex out of range
+        for call in calls:
+            with pytest.raises(SidesOverlap):
+                call({0, 2, bad}, {1, 2, 3})
+
+
+def _networkx_matching(g: Graph, side_a, side_b) -> Matching:
+    import networkx as nx
+
+    h = nx.Graph()
+    h.add_nodes_from(g.vertices)
+    h.add_edges_from(
+        (u, v) for u, v in g.edges if (u in side_a and v in side_b)
+        or (u in side_b and v in side_a)
+    )
+    mate = nx.bipartite.hopcroft_karp_matching(h, top_nodes=side_a)
+    return Matching.of((a, mate[a]) for a in side_a if a in mate)
+
+
+def test_matching_size_equals_networkx_hopcroft_karp(rng):
+    from rekern.smallgraphs import random_graph
+
+    for _ in range(40):
+        n = rng.randint(50, 300)
+        g = random_graph(rng, n, rng.uniform(0.5, 4.0) / n)
+        share = rng.uniform(0.2, 0.8)
+        side_a = {v for v in range(n) if rng.random() < share}
+        side_b = set(range(n)) - side_a
+        m = maximum_bipartite_matching(g, side_a, side_b)
+        assert m.size == _networkx_matching(g, side_a, side_b).size
+        for u, v in m.pairs:
+            assert g.has_edge(u, v)
+            assert (u in side_a) != (v in side_a)
+
+
+def test_crowns_do_not_depend_on_which_maximum_matching():
+    """The alternating-reachable sets are the same for every maximum
+    matching (Dulmage-Mendelsohn), so both canonical crowns are too."""
+    from rekern.oracles import all_minimum_vertex_covers
+    from rekern.smallgraphs import all_graphs_upto
+    from rekern.vc_kernels import _partition_from_matching
+
+    checked = differing = 0
+    for g in all_graphs_upto(7):
+        for cover in all_minimum_vertex_covers(g):
+            rest = frozenset(g.vertices) - cover
+            ours = maximum_bipartite_matching(g, cover, rest)
+            theirs = _networkx_matching(g, cover, rest)
+            mine = _partition_from_matching(g, cover, ours)
+            other = _partition_from_matching(g, cover, theirs)
+            assert mine.crown_c1() == other.crown_c1(), (g, cover)
+            assert mine.crown_c2() == other.crown_c2(), (g, cover)
+            checked += 1
+            differing += ours != theirs
+    assert checked > 3000 and differing > 1000
