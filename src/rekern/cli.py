@@ -31,7 +31,7 @@ from .gadgets import (
     build_negative_reopt_instance,
     build_setcover_cvc,
 )
-from .graphs import EdgeAdd, Graph
+from .graphs import EdgeAdd, Graph, apply_modification
 from .instances import ReoptInstance
 from .matching import Matching
 from .oracles import (
@@ -72,11 +72,13 @@ def _problem_kind(name: str) -> ProblemKind:
 
 
 def _instance_payload(doc: formats.InstanceDocument, kind: ProblemKind) -> Any:
-    if kind is ProblemKind.SET_COVER:
-        return doc.set_cover
-    if kind is ProblemKind.LEAF_OUT_TREE:
-        return doc.digraph
-    return doc.graph
+    payload = {
+        ProblemKind.SET_COVER: doc.set_cover,
+        ProblemKind.LEAF_OUT_TREE: doc.digraph,
+    }.get(kind, doc.graph)
+    if payload is None:
+        raise ParseError(f"document carries no instance for {kind.value}")
+    return payload
 
 
 def _reopt_instance_from_doc(
@@ -211,8 +213,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     kind = _problem_kind(args.problem)
     doc = _load_instance(args.input)
     instance: Any = _instance_payload(doc, kind)
-    if instance is None:
-        raise ParseError(f"document carries no instance for {kind.value}")
     solution = solve_exact(kind, instance, limit=args.limit)
     payload: dict[str, Any] = {
         "problem": kind.value,
@@ -260,8 +260,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     instance = _instance_payload(doc, doc.problem)
     k = doc.k_modified if doc.k_modified is not None else doc.k
     if doc.modification is not None and doc.graph is not None:
-        from .graphs import apply_modification
-
         instance = apply_modification(doc.graph, doc.modification)
     ok = verify_kernel_equivalence(doc.problem, instance, k, result, limit=args.limit)
     _print_json({"equivalent": ok})
@@ -270,6 +268,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
     """Deterministic random corpus of vertex-cover reoptimization instances."""
+    if args.max_n < 3:
+        raise ParseError("--max-n must be at least 3")
     rng = random.Random(args.seed)
     emitted = 0
     documents = []

@@ -1,4 +1,5 @@
-"""Crown decompositions and the crown lemma algorithm.
+"""Crown decompositions, the cover/independent partition with its two
+canonical crowns, and the crown lemma algorithm built on the second one.
 
 A crown decomposition of ``G`` is a partition of the vertices into a
 non-empty independent crown ``C``, a head ``H`` saturated by a matching
@@ -74,6 +75,75 @@ def validate_crown(g: Graph, cd: CrownDecomposition) -> list[str]:
 
 
 @dataclass(frozen=True)
+class ReoptPartition:
+    """The matched/unmatched split of a cover ``A`` and independent ``B``.
+
+    ``a1``/``b1`` are the matched pairs alternating-reachable from the
+    unmatched part of ``B``; ``a2``/``b2`` the pairs reachable from the
+    unmatched part of ``A``; ``a3``/``b3`` the rest.  For a maximum
+    matching the reachable sets cannot intersect.
+    """
+
+    cover: frozenset[int]
+    independent: frozenset[int]
+    matching: Matching
+    a_unmatched: frozenset[int]
+    b_unmatched: frozenset[int]
+    a1: frozenset[int]
+    b1: frozenset[int]
+    a2: frozenset[int]
+    b2: frozenset[int]
+    a3: frozenset[int]
+    b3: frozenset[int]
+
+    def crown_c1(self) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
+        crown = self.b_unmatched | self.b1 | self.b3
+        head = self.a1 | self.a3
+        rest = self.a_unmatched | self.a2 | self.b2
+        return crown, head, rest
+
+    def crown_c2(self) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
+        crown = self.b_unmatched | self.b1
+        head = self.a1
+        rest = self.a_unmatched | self.a2 | self.b2 | self.a3 | self.b3
+        return crown, head, rest
+
+    def saturating(self, head: frozenset[int]) -> Matching:
+        return Matching(
+            frozenset(
+                p for p in self.matching.pairs if p[0] in head or p[1] in head
+            )
+        )
+
+
+def _partition_from_matching(
+    g: Graph, cover: frozenset[int], m: Matching
+) -> ReoptPartition:
+    b = frozenset(g.vertices) - cover
+    matched = m.vertices()
+    a_unmatched = cover - matched
+    b_unmatched = b - matched
+    a1, b1 = alternating_reachability(g, cover, b, m, "B")
+    a2, b2 = alternating_reachability(g, cover, b, m, "A")
+    if (a1 | a2) - matched or (b1 | b2) - matched:
+        raise InternalInvariantBroken(
+            "alternating search reached an unmatched vertex; matching not maximum"
+        )
+    if a1 & a2 or b1 & b2:
+        raise InternalInvariantBroken(
+            "reachable subsets intersect; matching not maximum"
+        )
+    a3 = (cover & matched) - a1 - a2
+    b3 = (b & matched) - b1 - b2
+    partners = m.partner_map()
+    if {partners[a] for a in a1} != set(b1) or {partners[a] for a in a3} != set(b3):
+        raise InternalInvariantBroken("matching does not pair the subsets")
+    return ReoptPartition(
+        cover, b, m, a_unmatched, b_unmatched, a1, b1, a2, b2, a3, b3
+    )
+
+
+@dataclass(frozen=True)
 class CrownOrMatching:
     """Outcome of the crown lemma: exactly one field is set."""
 
@@ -86,10 +156,10 @@ def crown_or_matching(g: Graph, k: int) -> CrownOrMatching:
     decomposition, for a graph with no isolated vertices and at least
     ``3k + 1`` vertices.
 
-    Greedily build a maximal matching; if it is small, its endpoints and
-    the remaining independent set form the two sides of a bipartite
-    matching whose unmatched side, closed under alternating paths, yields
-    the crown.  A matching outcome is preferred whenever available.
+    Greedily build a maximal matching; if it is small, its endpoints are a
+    vertex cover and the remaining vertices an independent set, and the
+    second canonical crown of their partition around a maximum matching
+    is the crown.  A matching outcome is preferred whenever available.
     """
     if k < 0:
         raise PreconditionViolated("k must be a natural number")
@@ -104,28 +174,13 @@ def crown_or_matching(g: Graph, k: int) -> CrownOrMatching:
         return CrownOrMatching(matching=Matching.of(sorted(m1.pairs)[: k + 1]))
 
     side_a = m1.vertices()
-    side_i = frozenset(g.vertices) - side_a
-    m2 = maximum_bipartite_matching(g, side_a, side_i)
+    m2 = maximum_bipartite_matching(g, side_a, frozenset(g.vertices) - side_a)
     if m2.size >= k + 1:
         return CrownOrMatching(matching=Matching.of(sorted(m2.pairs)[: k + 1]))
 
-    matched_i = m2.vertices() & side_i
-    unmatched_i = side_i - matched_i
-    if not unmatched_i:
-        raise InternalInvariantBroken(
-            "no unmatched independent vertex despite n >= 3k + 1"
-        )
-    reached_a, reached_i = alternating_reachability(g, side_a, side_i, m2, "B")
-    if reached_a - m2.vertices():
-        raise InternalInvariantBroken("alternating search reached an unmatched vertex")
-
-    crown = unmatched_i | reached_i
-    head = reached_a
-    rest = frozenset(g.vertices) - crown - head
-    saturating = Matching(
-        frozenset(p for p in m2.pairs if (p[0] in head) or (p[1] in head))
-    )
-    cd = CrownDecomposition(crown, head, rest, saturating)
+    part = _partition_from_matching(g, side_a, m2)
+    crown, head, rest = part.crown_c2()
+    cd = CrownDecomposition(crown, head, rest, part.saturating(head))
     violations = validate_crown(g, cd)
     if violations:
         raise InternalInvariantBroken(f"constructed crown invalid: {violations}")

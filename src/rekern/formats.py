@@ -13,6 +13,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
+from .decomposition import TreeDecomposition
 from .errors import ParseError
 from .graphs import (
     Digraph,
@@ -72,6 +73,9 @@ def _modification_from_json(data: dict[str, Any]) -> LocalModification:
 def _witness_to_json(witness: Any) -> Any:
     if witness is None:
         return None
+    if isinstance(witness, TreeDecomposition):
+        bags = [sorted(bag) for bag in witness.bags]
+        return {"bags": bags, "tree": witness.tree.sorted_edges()}
     if isinstance(witness, (frozenset, set)):
         items = sorted(witness)
         if items and isinstance(items[0], tuple):
@@ -94,6 +98,19 @@ def _witness_from_json(data: Any, problem: ProblemKind | None) -> Any:
     return frozenset(int(x) for x in data)
 
 
+def _graph_to_json(g: Graph) -> dict[str, Any]:
+    payload: dict[str, Any] = {"n": g.n, "edges": g.sorted_edges()}
+    if g.labels is not None:
+        payload["labels"] = list(g.labels)
+    return payload
+
+
+def _graph_from_json(data: dict[str, Any]) -> Graph:
+    """``Graph`` itself rejects self-loops and out-of-range edges."""
+    edges = [(int(u), int(v)) for u, v in data.get("edges", [])]
+    return Graph.from_edges(int(data["n"]), edges, labels=data.get("labels"))
+
+
 def emit_instance(doc: InstanceDocument) -> str:
     """Serialize a document to canonical (sorted-key) JSON text."""
     payload: dict[str, Any] = {
@@ -103,13 +120,7 @@ def emit_instance(doc: InstanceDocument) -> str:
     if doc.problem is not None:
         payload["problem"] = doc.problem.value
     if doc.graph is not None:
-        graph_payload: dict[str, Any] = {
-            "n": doc.graph.n,
-            "edges": doc.graph.sorted_edges(),
-        }
-        if doc.graph.labels is not None:
-            graph_payload["labels"] = list(doc.graph.labels)
-        payload["graph"] = graph_payload
+        payload["graph"] = _graph_to_json(doc.graph)
     if doc.digraph is not None:
         payload["digraph"] = {"n": doc.digraph.n, "arcs": sorted(doc.digraph.arcs)}
     if doc.set_cover is not None:
@@ -156,24 +167,11 @@ def _parse_json_instance(data: dict[str, Any]) -> InstanceDocument:
         except ValueError as exc:
             raise ParseError(f"unknown problem kind {data['problem']!r}") from exc
     if "graph" in data:
-        gd = data["graph"]
-        n = int(gd["n"])
-        edges = [(int(u), int(v)) for u, v in gd.get("edges", [])]
-        for u, v in edges:
-            _require(
-                0 <= u < n and 0 <= v < n,
-                f"edge ({u}, {v}) out of range for n={n}",
-            )
-            _require(u != v, f"self-loop at vertex {u}")
-        labels = gd.get("labels")
-        doc.graph = Graph.from_edges(n, edges, labels=labels)
+        doc.graph = _graph_from_json(data["graph"])
     if "digraph" in data:
         dd = data["digraph"]
-        n = int(dd["n"])
         arcs = [(int(u), int(v)) for u, v in dd.get("arcs", [])]
-        for u, v in arcs:
-            _require(0 <= u < n and 0 <= v < n, f"arc ({u}, {v}) out of range")
-        doc.digraph = Digraph.from_arcs(n, arcs)
+        doc.digraph = Digraph.from_arcs(int(dd["n"]), arcs)
     if "set_cover" in data:
         sd = data["set_cover"]
         doc.set_cover = SetCoverInstance.of(
@@ -271,12 +269,7 @@ def emit_result(result: KernelResult, notes: dict[str, Any] | None = None) -> st
         payload["answer"] = result.answer
     else:
         payload["kind"] = "reduced"
-        payload["graph"] = {
-            "n": result.graph.n,
-            "edges": result.graph.sorted_edges(),
-        }
-        if result.graph.labels is not None:
-            payload["graph"]["labels"] = list(result.graph.labels)
+        payload["graph"] = _graph_to_json(result.graph)
         payload["parameter"] = result.parameter
         if result.size_bound_claim is not None:
             payload["size_bound_claim"] = result.size_bound_claim
@@ -297,13 +290,9 @@ def parse_result(text: str) -> KernelResult:
     if kind == "decided":
         return KernelResult.decided(bool(data["answer"]))
     if kind == "reduced":
-        gd = data["graph"]
-        graph = Graph.from_edges(
-            int(gd["n"]),
-            [(int(u), int(v)) for u, v in gd.get("edges", [])],
-            labels=gd.get("labels"),
-        )
         return KernelResult.reduced(
-            graph, int(data["parameter"]), data.get("size_bound_claim")
+            _graph_from_json(data["graph"]),
+            int(data["parameter"]),
+            data.get("size_bound_claim"),
         )
     raise ParseError(f"unknown result kind {kind!r}")

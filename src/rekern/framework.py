@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Any, Callable
 
 from .errors import DegreeTooHigh, SpecModificationMismatch, UnsupportedCombination
 from .graphs import (
@@ -24,7 +24,6 @@ from .graphs import (
     VertexAdd,
     VertexDel,
     apply_modification,
-    check_modification,
     component_of,
     components,
     disjoint_union,
@@ -80,8 +79,8 @@ def builtin_spec(kind: ProblemKind) -> ProblemSpec:
     """Prebuilt specs for the compositional problems the toolkit ships.
 
     Longest path is registered under the deletion (monotone) dispatch
-    rule; its trivial yes shortcut is only sound when the deletion cannot
-    break the recorded solution, so drive it with absent witnesses.
+    rule; its yes shortcut is taken only when the witness path names
+    neither the deleted vertex nor both ends of the deleted edge.
     """
     table = {
         ProblemKind.IVST: (Monotonicity.COMONOTONE, Compositionality.OR),
@@ -101,7 +100,6 @@ class ComponentKernelizer:
 
     name: str
     run: Callable[[Graph, int], KernelResult]
-    size_bound: Callable[[int], int]
 
 
 def exact_component_kernelizer(kind: ProblemKind) -> ComponentKernelizer:
@@ -114,7 +112,6 @@ def exact_component_kernelizer(kind: ProblemKind) -> ComponentKernelizer:
     return ComponentKernelizer(
         name=f"exact-{kind.value}",
         run=lambda comp, k: KernelResult.decided(membership(kind, comp, k)),
-        size_bound=lambda k: 2,
     )
 
 
@@ -128,7 +125,6 @@ def environment(
     endpoints; a vertex deletion every component meeting the deleted
     vertex's former neighborhood.
     """
-    check_modification(g_before, m)
     g_after = apply_modification(g_before, m)
     if isinstance(m, EdgeAdd):
         return [component_of(g_after, m.u)]
@@ -201,9 +197,11 @@ def compositional_reopt_kernelize(
 ) -> KernelResult:
     """Dispatch a reoptimization instance per the four compositional rules.
 
-    The witness branch applies the closure theorem without inspecting the
-    graph; the other branch runs the component kernelizer on the
-    environment of the modification.
+    At k' = k the witness branch applies the closure theorem without
+    inspecting the graph; otherwise the component kernelizer runs on the
+    environment of the modification, or on every component of the modified
+    graph when the witness settles nothing (k' != k, or a deletion that
+    touches it).
     """
     key = (spec.compositionality, spec.monotonicity)
     if key not in _SUPPORTED:
@@ -224,23 +222,37 @@ def compositional_reopt_kernelize(
             )
     or_mode = spec.compositionality is Compositionality.OR
 
-    if or_mode:
-        # Deletion on a monotone problem / addition on a comonotone one
-        # preserves the recorded solution.
-        if inst.witness is not None:
-            return KernelResult.decided(True)
-        envs = environment(inst.original, inst.modification)
-        results = [ck.run(comp, inst.k_modified) for comp, _ in envs]
-        return _combine(results, or_mode=True)
-
-    # AND-compositional: a no-instance stays a no-instance when the
-    # modification cannot create solutions; otherwise only the environment
-    # components need re-checking.
+    # Without a witness the original is a no at k, and so at any allowed k':
+    # on every untouched component (OR), or outright, since the modification
+    # cannot create solutions (AND).  A witness settles only k' = k.
     if inst.witness is None:
-        return KernelResult.decided(False)
-    envs = environment(inst.original, inst.modification)
-    results = [ck.run(comp, inst.k_modified) for comp, _ in envs]
-    return _combine(results, or_mode=False)
+        if not or_mode:
+            return KernelResult.decided(False)
+        parts = environment(inst.original, inst.modification)
+    elif inst.k_modified != inst.k or (
+        or_mode and not _avoids(inst.witness, inst.modification)
+    ):
+        modified = inst.modified
+        parts = [induced_subgraph(modified, c) for c in components(modified)]
+    elif or_mode:
+        return KernelResult.decided(True)
+    else:
+        parts = environment(inst.original, inst.modification)
+    results = [ck.run(comp, inst.k_modified) for comp, _ in parts]
+    return _combine(results, or_mode)
+
+
+def _avoids(witness: Any, m: LocalModification) -> bool:
+    """Whether no vertex the witness names (in a vertex set, a path or an
+    edge set) is deleted, and not both ends of a deleted edge."""
+    if not isinstance(m, (EdgeDel, VertexDel)):
+        return True
+    named = {
+        x for item in witness for x in (item if isinstance(item, tuple) else (item,))
+    }
+    if isinstance(m, VertexDel):
+        return m.v not in named
+    return not (m.u in named and m.v in named)
 
 
 def canonical_ivst_yes_instance(k: int) -> Graph:
@@ -261,10 +273,10 @@ def ivst_reopt_kernelize_eplus(
     """Edge-addition reoptimization kernel for the internal-vertex-subtree
     problem.
 
-    With a witness subtree the answer is yes outright (subtrees survive
-    edge additions).  Without one, only the component containing the new
-    edge can host a solution, so the component kernelizer settles it.
-    When ``prior_kernel`` carries a kernel of the original instance
+    With a witness subtree and k' = k the answer is yes outright (subtrees
+    survive edge additions).  Without one, only the component containing
+    the new edge can host a solution, so the component kernelizer settles
+    it.  When ``prior_kernel`` carries a kernel of the original instance
     instead of a solution, the union of both kernels is returned.
     """
     if inst.problem is not ProblemKind.IVST or not isinstance(
@@ -278,10 +290,7 @@ def ivst_reopt_kernelize_eplus(
         return KernelResult.reduced(
             union, inst.k_modified, size_bound_claim=union.n
         )
-    if inst.witness is not None:
-        return KernelResult.decided(True)
-    comp, _ = component_of(inst.modified, inst.modification.u)
-    return ck.run(comp, inst.k_modified)
+    return compositional_reopt_kernelize(inst, builtin_spec(ProblemKind.IVST), ck)
 
 
 @dataclass(frozen=True)

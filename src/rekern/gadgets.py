@@ -17,6 +17,7 @@ from itertools import combinations
 
 from .errors import (
     OracleTooSlow,
+    PreconditionViolated,
     UnsupportedCombination,
     UnsupportedProblem,
 )
@@ -179,6 +180,8 @@ def build_negative_reopt_instance(
     member iff (g, k) is, which is what makes these constructions
     hardness-preserving.
     """
+    if k < 0:
+        raise PreconditionViolated("k must be a natural number")
     if problem is ProblemKind.LONGEST_PATH:
         block = path_graph(k + 1)  # path of length k
     elif problem in (ProblemKind.IVST, ProblemKind.CLIQUE, ProblemKind.TREEWIDTH):
@@ -202,6 +205,8 @@ def build_clique_reopt_instance(
     exists iff g has one of size k.  Vertex mode: K_k glued to g; the new
     vertex adjacent to all of g raises the target to k + 1.
     """
+    if k < 0:
+        raise PreconditionViolated("k must be a natural number")
     if mode == "edge":
         n = g.n
         extended = Graph(

@@ -248,6 +248,8 @@ def _solve_cvc(
 
 def is_clique(g: Graph, candidate: Iterable[int]) -> bool:
     vs = sorted(set(candidate))
+    if vs and not (0 <= vs[0] and vs[-1] < g.n):
+        return False
     return all(g.has_edge(u, v) for u, v in combinations(vs, 2))
 
 
@@ -290,9 +292,9 @@ def _solve_clique(g: Graph) -> ExactSolution:
 
 def is_path(g: Graph, candidate: Iterable[int]) -> bool:
     seq = list(candidate)
-    if len(seq) != len(set(seq)):
+    if not seq or len(seq) != len(set(seq)):
         return False
-    if not seq:
+    if not (0 <= min(seq) and max(seq) < g.n):
         return False
     return all(g.has_edge(a, b) for a, b in zip(seq, seq[1:]))
 

@@ -1,18 +1,23 @@
 """Vertex cover kernels: the classic 3k crown kernel and the 2k
 reoptimization kernel for edge addition.
 
-The reoptimization kernel starts from a known vertex cover ``A`` of the
-original graph, splits ``A`` and the independent rest ``B`` along a
-maximum matching into the subsets reachable by alternating paths from
-either side's unmatched vertices, and repairs one of two canonical crown
-decompositions after the new edge lands inside ``B``.
+Both take their crowns from a ``crown.ReoptPartition``: the classic one
+through the crown lemma, the reoptimization one from a known vertex cover
+``A`` of the original graph, repairing one of the two canonical crowns
+after the new edge lands inside the independent rest ``B``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .crown import CrownDecomposition, crown_or_matching, validate_crown
+from .crown import (
+    CrownDecomposition,
+    ReoptPartition,
+    _partition_from_matching,
+    crown_or_matching,
+    validate_crown,
+)
 from .errors import (
     InternalInvariantBroken,
     InvalidCrown,
@@ -38,75 +43,6 @@ from .oracles import is_vertex_cover
 from .problems import ProblemKind
 
 
-@dataclass(frozen=True)
-class ReoptPartition:
-    """The matched/unmatched split of a cover ``A`` and independent ``B``.
-
-    ``a1``/``b1`` are the matched pairs alternating-reachable from the
-    unmatched part of ``B``; ``a2``/``b2`` the pairs reachable from the
-    unmatched part of ``A``; ``a3``/``b3`` the rest.  For a maximum
-    matching the reachable sets cannot intersect.
-    """
-
-    cover: frozenset[int]
-    independent: frozenset[int]
-    matching: Matching
-    a_unmatched: frozenset[int]
-    b_unmatched: frozenset[int]
-    a1: frozenset[int]
-    b1: frozenset[int]
-    a2: frozenset[int]
-    b2: frozenset[int]
-    a3: frozenset[int]
-    b3: frozenset[int]
-
-    def crown_c1(self) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
-        crown = self.b_unmatched | self.b1 | self.b3
-        head = self.a1 | self.a3
-        rest = self.a_unmatched | self.a2 | self.b2
-        return crown, head, rest
-
-    def crown_c2(self) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
-        crown = self.b_unmatched | self.b1
-        head = self.a1
-        rest = self.a_unmatched | self.a2 | self.b2 | self.a3 | self.b3
-        return crown, head, rest
-
-    def saturating(self, head: frozenset[int]) -> Matching:
-        return Matching(
-            frozenset(
-                p for p in self.matching.pairs if p[0] in head or p[1] in head
-            )
-        )
-
-
-def _partition_from_matching(
-    g: Graph, cover: frozenset[int], m: Matching
-) -> ReoptPartition:
-    b = frozenset(g.vertices) - cover
-    matched = m.vertices()
-    a_unmatched = cover - matched
-    b_unmatched = b - matched
-    a1, b1 = alternating_reachability(g, cover, b, m, "B")
-    a2, b2 = alternating_reachability(g, cover, b, m, "A")
-    if (a1 | a2) - matched or (b1 | b2) - matched:
-        raise InternalInvariantBroken(
-            "alternating search reached an unmatched vertex; matching not maximum"
-        )
-    if a1 & a2 or b1 & b2:
-        raise InternalInvariantBroken(
-            "reachable subsets intersect; matching not maximum"
-        )
-    a3 = (cover & matched) - a1 - a2
-    b3 = (b & matched) - b1 - b2
-    partners = m.partner_map()
-    if {partners[a] for a in a1} != set(b1) or {partners[a] for a in a3} != set(b3):
-        raise InternalInvariantBroken("matching does not pair the subsets")
-    return ReoptPartition(
-        cover, b, m, a_unmatched, b_unmatched, a1, b1, a2, b2, a3, b3
-    )
-
-
 def build_reopt_partition(g: Graph, cover_a: frozenset[int] | set[int]) -> ReoptPartition:
     """Partition ``A`` and ``B`` around a maximum matching between them."""
     cover = frozenset(cover_a)
@@ -117,6 +53,17 @@ def build_reopt_partition(g: Graph, cover_a: frozenset[int] | set[int]) -> Reopt
     b = frozenset(g.vertices) - cover
     m = maximum_bipartite_matching(g, cover, b)
     return _partition_from_matching(g, cover, m)
+
+
+def _strip_isolated(g: Graph) -> tuple[Graph, dict[int, int]]:
+    """``g`` without its isolated vertices, and the map from old to new
+    indices; ``g`` itself with the identity map when none is isolated."""
+    adjacency = g.adjacency
+    keep = [v for v in g.vertices if adjacency[v]]
+    if len(keep) == g.n:
+        return g, {v: v for v in keep}
+    sub, idx = induced_subgraph(g, keep)
+    return sub, {old: new for new, old in enumerate(idx)}
 
 
 # --- classic crown kernel ---------------------------------------------------
@@ -141,9 +88,7 @@ def vc_kernelize_3k(g: Graph, k: int) -> KernelResult:
     """Crown-lemma kernel: decide, or reduce to at most 3k vertices."""
     cur, budget = g, k
     while True:
-        non_isolated = [v for v in cur.vertices if cur.degree(v) > 0]
-        if len(non_isolated) < cur.n:
-            cur, _ = induced_subgraph(cur, non_isolated)
+        cur, _ = _strip_isolated(cur)
         if budget < 0:
             return KernelResult.decided(False)
         if cur.n == 0:
@@ -170,13 +115,6 @@ class ReoptVcReport:
     trace: tuple[str, ...]
 
 
-def _strip_isolated(g: Graph) -> tuple[Graph, dict[int, int]]:
-    keep = [v for v in g.vertices if g.degree(v) > 0]
-    sub, idx = induced_subgraph(g, keep)
-    forward = {old: new for new, old in enumerate(idx)}
-    return sub, forward
-
-
 def _finish(
     modified: Graph,
     crown: frozenset[int],
@@ -194,12 +132,12 @@ def _finish(
         residual, parameter = modified, budget
     else:
         cd = CrownDecomposition(crown, head, rest, saturating)
-        violations = validate_crown(modified, cd)
-        if violations:
+        try:
+            residual, parameter = crown_reduce_vc(modified, budget, cd)
+        except InvalidCrown as exc:
             raise InternalInvariantBroken(
-                f"constructed crown invalid on the modified graph: {violations}"
-            )
-        residual, parameter = crown_reduce_vc(modified, budget, cd)
+                f"constructed crown invalid on the modified graph: {exc}"
+            ) from exc
     if parameter < 0:
         result = KernelResult.decided(False)
     elif residual.n == 0:
@@ -244,7 +182,7 @@ def reopt_vc_kernelize_2k_report(inst: ReoptInstance) -> ReoptVcReport:
         raise WitnessNotACover("the 2k kernel needs a vertex cover witness")
     cover = frozenset(inst.witness)
     g = inst.original
-    if any(not 0 <= x < g.n for x in cover):
+    if not all(isinstance(x, int) and 0 <= x < g.n for x in cover):
         raise WitnessNotACover(f"witness has vertices outside 0..{g.n - 1}")
     if not is_vertex_cover(g, cover):
         raise WitnessNotACover("witness does not cover every edge")
@@ -268,20 +206,14 @@ def reopt_vc_kernelize_2k_report(inst: ReoptInstance) -> ReoptVcReport:
     if g.degree(u) == 0 or g.degree(v) == 0:
         trace.append("isolated-leaf")
         modified = apply_modification(g, inst.modification)
-        stripped, forward = _strip_isolated(modified)
-        leaf_old = u if g.degree(u) == 0 else v
-        support_old = v if leaf_old == u else u
-        leaf, support = forward[leaf_old], forward[support_old]
-        if stripped.degree(leaf) != 1:
+        leaf = u if g.degree(u) == 0 else v
+        support = v if leaf == u else u
+        if modified.degree(leaf) != 1:
             raise InternalInvariantBroken("isolated endpoint did not become a leaf")
-        keep = [w for w in stripped.vertices if w not in (leaf, support)]
-        remainder, idx = induced_subgraph(stripped, keep)
+        keep = [w for w in modified.vertices if w not in (leaf, support)]
+        remainder, idx = induced_subgraph(modified, keep)
         back = {old: new for new, old in enumerate(idx)}
-        live_cover = frozenset(
-            back[forward[w]]
-            for w in cover
-            if w in forward and forward[w] in back
-        )
+        live_cover = frozenset(back[w] for w in cover if w in back)
         return _reduce_with_cover(
             remainder, live_cover, budget - 1, claim, "isolated-leaf", trace
         )

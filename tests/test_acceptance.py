@@ -325,7 +325,7 @@ def test_criterion_05_ivst_eplus_theorem():
         raise AssertionError("graph was inspected")
 
     out = ivst_reopt_kernelize_eplus(
-        inst, ComponentKernelizer("exploding", exploding, lambda k: 2)
+        inst, ComponentKernelizer("exploding", exploding)
     )
     pure = out.is_decided and out.answer is True
     elapsed = time.time() - start

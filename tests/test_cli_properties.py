@@ -1,0 +1,177 @@
+"""Property test: every subcommand of the CLI exits with a documented code.
+
+Instance documents follow the canonical JSON schema with at most 8
+vertices: a graph, a digraph, a set cover over a universe of at most 8
+elements, parameters, a witness of any problem's shape, a modification and
+crown notes.  Graph edges and digraph arcs are valid; the vertices of
+witnesses, modifications and crowns run from -1 to n, so some are out of
+range.  Then up to three fields (at the top level or one level down) are
+dropped or replaced by a value of the wrong type.  Each document goes
+through every subcommand, and each must exit 0, 2, 3 or 4; a Python
+traceback fails the test.  The run is derandomized with a fixed number of
+examples, so it adds seconds to the suite.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from rekern.cli import run_command
+from rekern.problems import ProblemKind
+
+DOCUMENTED_EXITS = {0, 2, 3, 4}
+PROBLEMS = [kind.value for kind in ProblemKind]
+OPS = ["edge_add", "edge_del", "vertex_del", "vertex_add", "vertex_swap"]
+
+garbage = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 9),
+    st.text(max_size=3),
+    st.floats(allow_nan=False, allow_infinity=False, width=16),
+    st.lists(st.integers(-1, 3), max_size=3),
+    st.dictionaries(st.sampled_from(["n", "u", "v"]), st.integers(-1, 3), max_size=2),
+)
+
+
+def _fields(doc: dict) -> list[tuple[str, ...]]:
+    """Every top-level key, and every key one level down."""
+    paths = []
+    for key, value in doc.items():
+        paths.append((key,))
+        if isinstance(value, dict):
+            paths.extend((key, inner) for inner in value)
+    return paths
+
+
+@st.composite
+def instance_documents(draw):
+    n = draw(st.integers(0, 8))
+    vertex = st.integers(-1, n)
+    vertices = st.lists(vertex, max_size=5)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)) if pairs else []
+    cover = sorted({draw(st.sampled_from(edge)) for edge in edges})
+    k = len(cover) + draw(st.integers(-1, 2))
+    graph = {"n": n, "edges": [list(e) for e in edges]}
+    if draw(st.booleans()):
+        graph["labels"] = [f"v{i}" for i in range(n)]
+    arcs = [[u, v] for u in range(n) for v in range(n) if u != v]
+    universe = draw(st.integers(1, 8))
+    doc = {
+        "format": "rekern-instance",
+        "version": 1,
+        "problem": draw(st.sampled_from(PROBLEMS)),
+        "graph": graph,
+        "digraph": {"n": n, "arcs": draw(st.lists(st.sampled_from(arcs), max_size=6)) if arcs else []},
+        "set_cover": {
+            "universe": universe,
+            "family": draw(st.lists(st.lists(st.integers(1, universe), max_size=4), max_size=5)),
+            "k": draw(st.integers(1, universe)),
+        },
+        "k": k,
+        "k_modified": k + draw(st.integers(-1, 1)),
+        "witness": draw(
+            st.one_of(
+                st.just(cover),
+                vertices,
+                st.just([list(e) for e in edges[: draw(st.integers(0, 4))]]),
+            )
+        ),
+        "modification": {
+            "op": draw(st.sampled_from(OPS)),
+            "u": draw(vertex),
+            "v": draw(vertex),
+            "neighbors": draw(vertices),
+        },
+        "notes": {
+            "crown": {
+                "C": draw(vertices),
+                "H": draw(vertices),
+                "R": draw(vertices),
+                "M": [list(e) for e in edges[: draw(st.integers(0, 2))]],
+            }
+        },
+    }
+    for _ in range(draw(st.integers(0, 3))):
+        *outer, key = draw(st.sampled_from(_fields(doc)))
+        holder = doc[outer[0]] if outer else doc
+        if draw(st.booleans()):
+            del holder[key]
+        else:
+            holder[key] = draw(garbage)
+    return doc
+
+
+@st.composite
+def result_documents(draw):
+    n = draw(st.integers(0, 6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=8)) if pairs else []
+    doc = {
+        "format": "rekern-result",
+        "version": 1,
+        "kind": draw(st.sampled_from(["decided", "reduced"])),
+        "answer": draw(st.booleans()),
+        "graph": {"n": n, "edges": [list(e) for e in edges]},
+        "parameter": draw(st.integers(-1, 4)),
+    }
+    if draw(st.booleans()):
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    return doc
+
+
+def _commands(doc_path: str, result_path: str, problem: str, k: int) -> list[list[str]]:
+    read = ["--input", doc_path]
+    flags = ["--problem", problem, "--k", str(k)]
+    return [
+        ["kernelize", "vc", "--mode", "classic3k", *read],
+        ["kernelize", "vc", "--mode", "reopt2k", *read],
+        ["reopt", "kernelize", "--problem", "ivst", *read],
+        ["reopt", "kernelize", "--problem", "generic", *read],
+        ["gadget", "negative", *flags, *read],
+        ["gadget", "negative", *flags, "--mode", "vertex", *read],
+        ["gadget", "clique-reopt", "--k", str(k), *read],
+        ["gadget", "clique-reopt", "--k", str(k), "--mode", "vertex", *read],
+        ["gadget", "extremal", *flags],
+        ["gadget", "setcover-cvc", "--universe", str(k), "--k", str(k)],
+        ["solve", "--problem", problem, *read],
+        ["verify", "crown", *read],
+        ["verify", "solution", *read],
+        ["verify", "kernel-equivalence", *read, "--result", result_path],
+        ["corpus", "--seed", str(k), "--count", "1", "--max-n", str(k)],
+    ]
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    doc=instance_documents(),
+    result=result_documents(),
+    problem=st.sampled_from(PROBLEMS),
+    k=st.integers(-2, 4),
+)
+def test_every_subcommand_exits_with_a_documented_code(doc, result, problem, k):
+    with tempfile.TemporaryDirectory() as tmp:
+        doc_path = Path(tmp) / "instance.json"
+        result_path = Path(tmp) / "result.json"
+        doc_path.write_text(json.dumps(doc))
+        result_path.write_text(json.dumps(result))
+        for argv in _commands(str(doc_path), str(result_path), problem, k):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+                io.StringIO()
+            ):
+                code = run_command(argv)
+            assert code in DOCUMENTED_EXITS, (argv, doc, result)

@@ -328,6 +328,9 @@ def _malformed_reopt_documents():
         "non-integer-version": doc(version="x"),
         "edge-add-without-v": doc(modification={"op": "edge_add", "u": 1}),
         "short-labels": doc(graph={"n": 3, "edges": [[0, 1]], "labels": ["a"]}),
+        "self-loop-edge": doc(graph={"n": 3, "edges": [[0, 1], [1, 1]]}),
+        "out-of-range-arc": doc(digraph={"n": 3, "arcs": [[0, 3]]}),
+        "self-loop-arc": doc(digraph={"n": 3, "arcs": [[2, 2]]}),
     }
 
 
@@ -437,3 +440,54 @@ def test_cli_reopt2k_on_a_long_augmenting_chain(tmp_path, capsys):
     assert payload["notes"]["branch"] == "case5"
     assert payload["notes"]["trace"] == ["case5-degenerate"]
     assert payload["graph"]["n"] == 2 * a_side + 1
+
+
+def _write_document(tmp_path, **fields):
+    path = tmp_path / "inst.json"
+    path.write_text(
+        json.dumps({"format": "rekern-instance", "version": 1, **fields})
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "problem, k", [("clique", 1), ("longest_path", 0)]
+)
+def test_cli_verify_solution_rejects_a_vertex_outside_the_graph(
+    problem, k, tmp_path, capsys
+):
+    path = _write_document(
+        tmp_path, problem=problem, graph={"n": 0, "edges": []}, k=k, witness=[9]
+    )
+    code, out = run_cli(capsys, "verify", "solution", "--input", path)
+    assert code == 4 and json.loads(out)["valid"] is False
+
+
+def test_cli_document_without_its_payload_is_a_usage_error(tmp_path, capsys):
+    path = _write_document(tmp_path, problem="set_cover", k=1, witness=[0])
+    result = tmp_path / "result.json"
+    result.write_text(formats.emit_result(KernelResult.decided(True)))
+    code, out = run_cli(capsys, "verify", "solution", "--input", path)
+    assert code == 2 and out == ""
+    code, out = run_cli(
+        capsys, "verify", "kernel-equivalence", "--input", path,
+        "--result", str(result),
+    )
+    assert code == 2 and out == ""
+    code, out = run_cli(capsys, "solve", "--problem", "set_cover", "--input", path)
+    assert code == 2 and out == ""
+
+
+def test_cli_longest_path_witness_broken_by_a_deletion(tmp_path, capsys):
+    path = _write_document(
+        tmp_path,
+        problem="longest_path",
+        graph={"n": 3, "edges": [[0, 1], [1, 2]]},
+        k=2,
+        witness=[0, 1, 2],
+        modification={"op": "edge_del", "u": 0, "v": 1},
+    )
+    code, out = run_cli(
+        capsys, "reopt", "kernelize", "--problem", "generic", "--input", path
+    )
+    assert code == 0 and json.loads(out)["answer"] is False

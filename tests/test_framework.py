@@ -74,7 +74,7 @@ def test_or_comonotone_witness_present_is_pure():
     def exploding(comp, k):
         raise AssertionError("component kernelizer must not run on the yes branch")
 
-    ck = ComponentKernelizer("exploding", exploding, lambda k: 2)
+    ck = ComponentKernelizer("exploding", exploding)
     out = compositional_reopt_kernelize(inst, spec, ck)
     assert out.is_decided and out.answer is True
 
@@ -106,6 +106,46 @@ def test_and_monotone_addition_with_witness_checks_environment():
     )
     assert out.is_decided
     assert out.answer == membership(PK.TREEWIDTH, inst.modified, 1)
+
+
+def _exploding(comp, k):
+    raise AssertionError("component kernelizer must not run on the yes branch")
+
+
+@pytest.mark.parametrize(
+    "kind, g, k, k_modified, witness, modification",
+    [
+        # G + e for clique, IVST and treewidth with k' != k: the witness
+        # solves G at k but says nothing about k'.
+        (PK.CLIQUE, Graph.from_edges(4, [(0, 1)]), 2, 3, frozenset({0, 1}), EdgeAdd(2, 3)),
+        (PK.IVST, Graph.from_edges(4, [(0, 1), (1, 2)]), 1, 3,
+         frozenset({(0, 1), (1, 2)}), EdgeAdd(0, 3)),
+        (PK.TREEWIDTH, Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4)]), 2, 1,
+         "from-oracle", EdgeAdd(4, 5)),
+        # A deletion that breaks the witness path.
+        (PK.LONGEST_PATH, path_graph(3), 2, 2, (0, 1, 2), EdgeDel(0, 1)),
+        (PK.LONGEST_PATH, path_graph(3), 2, 2, (0, 1, 2), VertexDel(2)),
+    ],
+)
+def test_witness_shortcut_only_where_sound(kind, g, k, k_modified, witness, modification):
+    if witness == "from-oracle":
+        witness = solve_exact(kind, g).witness
+    inst = ReoptInstance(kind, g, k, witness, modification, k_modified)
+    out = compositional_reopt_kernelize(inst, builtin_spec(kind), exact_ck(kind))
+    assert membership(kind, inst.modified, k_modified) is False
+    assert out.is_decided and out.answer is False
+    if kind is PK.IVST:
+        out = ivst_reopt_kernelize_eplus(inst, exact_ck(kind))
+        assert out.is_decided and out.answer is False
+
+
+@pytest.mark.parametrize("modification", [EdgeDel(3, 4), VertexDel(4)])
+def test_witness_avoiding_the_deletion_short_circuits(modification):
+    g = disjoint_union(path_graph(3), path_graph(2))
+    inst = ReoptInstance(PK.LONGEST_PATH, g, 2, (0, 1, 2), modification, 2)
+    ck = ComponentKernelizer("exploding", _exploding)
+    out = compositional_reopt_kernelize(inst, builtin_spec(PK.LONGEST_PATH), ck)
+    assert out.is_decided and out.answer is True
 
 
 def test_dispatch_rejects_wrong_modification():
@@ -154,7 +194,7 @@ def test_dispatch_agrees_with_oracle_random(rng):
 
 def test_union_of_reduced_component_kernels():
     identity = ComponentKernelizer(
-        "identity", lambda comp, k: KernelResult.reduced(comp, k), lambda k: 99
+        "identity", lambda comp, k: KernelResult.reduced(comp, k)
     )
     g = disjoint_union(path_graph(3), path_graph(4))
     inst = ReoptInstance(PK.LONGEST_PATH, g, 9, None, EdgeDel(1, 2), 9)
@@ -179,7 +219,7 @@ def test_ivst_eplus_witness_yes_without_graph_access():
         raise AssertionError("must not inspect components on the yes branch")
 
     out = ivst_reopt_kernelize_eplus(
-        inst, ComponentKernelizer("exploding", exploding, lambda k: 2)
+        inst, ComponentKernelizer("exploding", exploding)
     )
     assert out.is_decided and out.answer is True
 
@@ -261,7 +301,6 @@ def test_and_comonotone_deletion_rule():
     ck = ComponentKernelizer(
         "min-degree-exact",
         lambda comp, k: KernelResult.decided(min_degree_at_least(comp, k)),
-        lambda k: 2,
     )
     # no witness: deleting an edge cannot create membership
     g = disjoint_union(cycle_graph(3), path_graph(3))
