@@ -19,7 +19,6 @@ from . import formats
 from .crown import CrownDecomposition, validate_crown
 from .errors import ParseError, PreconditionViolated, RekernError, SizeGuardExceeded
 from .framework import (
-    Compositionality,
     builtin_spec,
     compositional_reopt_kernelize,
     exact_component_kernelizer,
@@ -118,9 +117,11 @@ def _cmd_kernelize(args: argparse.Namespace) -> int:
 
 
 def _check_witness(inst: ReoptInstance) -> None:
-    """An OR-compositional dispatch answers yes from the witness alone, so
-    the witness must solve the original instance at ``k``.  A witness of
-    the wrong shape (say, a vertex list for IVST) is a usage error."""
+    """The dispatch trusts the witness: an OR-compositional problem answers
+    yes from it alone, an AND-compositional one re-checks only the
+    environment of the modification.  So the witness must solve the
+    original instance at ``k``.  A witness of the wrong shape (say, a
+    vertex list for IVST) is a usage error."""
     if inst.witness is None:
         return
     with formats.as_parse_error("witness"):
@@ -146,8 +147,7 @@ def _cmd_reopt(args: argparse.Namespace) -> int:
         raise ParseError("generic dispatch needs the document's problem kind")
     inst = _reopt_instance_from_doc(doc, doc.problem)
     spec = builtin_spec(doc.problem)
-    if spec.compositionality is Compositionality.OR:
-        _check_witness(inst)
+    _check_witness(inst)
     result = compositional_reopt_kernelize(
         inst, spec, exact_component_kernelizer(doc.problem)
     )

@@ -89,6 +89,11 @@ def _witness_to_json(witness: Any) -> Any:
 def _witness_from_json(data: Any, problem: ProblemKind | None) -> Any:
     if data is None:
         return None
+    if problem is ProblemKind.TREEWIDTH:
+        _require(isinstance(data, dict), "treewidth witness must be {bags, tree}")
+        bags = tuple(frozenset(int(x) for x in bag) for bag in data["bags"])
+        tree = Graph.from_edges(len(bags), [(int(a), int(b)) for a, b in data["tree"]])
+        return TreeDecomposition(tree, bags)
     if problem is ProblemKind.LONGEST_PATH:
         return tuple(int(x) for x in data)
     if problem in (ProblemKind.IVST, ProblemKind.LEAF_OUT_TREE):

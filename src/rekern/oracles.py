@@ -7,14 +7,19 @@ within its size guard.  Values are exact optima; witnesses are
 deterministic, with lexicographically smallest witnesses where the
 solver enumerates candidates directly.
 
-Oracles are deliberately slow and simple: they are the verification
-backbone for every kernelizer in the package, so they must be obviously
-correct rather than fast.  The one concession is memory: per-component
-solves of vertex cover, treewidth, IVST, longest path and clique are
-memoized on the unlabelled component ``(n, edges)`` in a bounded LRU
-cache (``_solve_component``), because kernel checks and compositional
-dispatch ask about the same small graphs again and again.  Size guards
-run before every lookup, so a cached answer never bypasses a guard.
+Oracles are the verification backbone for every kernelizer in the
+package, so they stay exhaustive: no heuristic decides a value.  They
+avoid waste only where an argument shows it is exact.  Longest path,
+IVST and treewidth are subset DPs over one bitmask adjacency
+(``_adjmask``).  IVST answers n - 2 outright on a component with a
+Hamiltonian path, the most any subtree can reach, and its subset DP
+attaches a root's children in one canonical order instead of every
+order.  Per-component solves of vertex cover, treewidth, IVST, longest
+path and clique are memoized on the unlabelled component ``(n, edges)``
+in a bounded LRU cache (``_solve_component``), because kernel checks and
+compositional dispatch ask about the same small graphs again and again.
+Size guards run before every lookup, so a cached answer never bypasses a
+guard.
 """
 
 from __future__ import annotations
@@ -61,11 +66,23 @@ def _guard(kind: ProblemKind, size: int, limit: int | None) -> None:
         )
 
 
+def _adjmask(g: Graph) -> list[int]:
+    """Each vertex's neighbourhood as a bitmask: the scaffold of the subset
+    DPs for longest path, IVST and treewidth."""
+    adjmask = [0] * g.n
+    for u, v in g.edges:
+        adjmask[u] |= 1 << v
+        adjmask[v] |= 1 << u
+    return adjmask
+
+
 # --- vertex cover ----------------------------------------------------------
 
 
 def is_vertex_cover(g: Graph, candidate: Iterable[int]) -> bool:
     cover = set(candidate)
+    if cover and not (0 <= min(cover) and max(cover) < g.n):
+        return False
     return all(u in cover or v in cover for u, v in g.edges)
 
 
@@ -300,29 +317,28 @@ def is_path(g: Graph, candidate: Iterable[int]) -> bool:
 
 
 def _lp_tables(g: Graph) -> list[list[int]]:
-    """longest[mask][v]: longest extension from v with ``mask`` visited."""
+    """longest[mask][v]: longest extension from v with ``mask`` visited.
+
+    Each entry reads strict supermasks only, which are numerically larger,
+    so masks run in descending order.
+    """
     n = g.n
-    adjmask = [0] * n
-    for u, v in g.edges:
-        adjmask[u] |= 1 << v
-        adjmask[v] |= 1 << u
+    adjmask = _adjmask(g)
     table = [[0] * n for _ in range(1 << n)]
-    order = sorted(range(1 << n), key=lambda m: bin(m).count("1"), reverse=True)
-    for mask in order:
+    for mask in range((1 << n) - 1, -1, -1):
+        row = table[mask]
         for v in range(n):
             if not (mask >> v) & 1:
                 continue
             free = adjmask[v] & ~mask
             best = 0
-            w = 0
             while free:
-                if free & 1:
-                    ext = 1 + table[mask | (1 << w)][w]
-                    if ext > best:
-                        best = ext
-                w += 1
-                free >>= 1
-            table[mask][v] = best
+                low = free & -free
+                free ^= low
+                ext = 1 + table[mask | low][low.bit_length() - 1]
+                if ext > best:
+                    best = ext
+            row[v] = best
     return table
 
 
@@ -372,105 +388,130 @@ def is_subtree_with_internal(g: Graph, candidate: Iterable[Iterable[int]], k: in
 
 
 def _solve_ivst(g: Graph) -> ExactSolution:
+    """Maximum internal vertices over all subtrees.
+
+    Every tree with at least two vertices has at least two leaves, so no
+    subtree of a graph on n >= 3 vertices has more than n - 2 internal
+    vertices, and a Hamiltonian path has exactly n - 2.  The longest-path
+    DP finds such a path when there is one; only graphs without one reach
+    the subset DP.
+    """
+    n = g.n
+    if n < 3:
+        return ExactSolution(0, frozenset())
+    longest = _solve_longest_path(g)
+    if longest.value == n - 1:
+        path = longest.witness
+        return ExactSolution(
+            n - 2, frozenset(normalize_edge(a, b) for a, b in zip(path, path[1:]))
+        )
+    return _ivst_subset_dp(g)
+
+
+def _ivst_subset_dp(g: Graph) -> ExactSolution:
     """Maximum internal vertices over all subtrees, by subset DP.
 
     States (S, v, c): a tree spanning vertex set S rooted at v whose root
-    degree class c is 1 or exactly >= 2; values count internal vertices
-    excluding the root.  Attaching a child subtree resolves the child
-    root's internality on the spot.
+    degree class c is 1 or >= 2; values count internal vertices excluding
+    the root.  A tree grows by attaching a child subtree T at v, which
+    resolves the child root's internality on the spot.  The root's degree
+    class does not depend on the order its children are attached, so the
+    last-attached T is the one holding the lowest vertex of S - {v}: every
+    rooted tree is still reached, along one attach order.  Each state
+    reads strict submasks only, which are numerically smaller, so masks
+    run in ascending order over flat per-vertex tables.
     """
     n = g.n
-    if n == 0:
-        return ExactSolution(0, frozenset())
-    adjmask = [0] * n
-    for u, v in g.edges:
-        adjmask[u] |= 1 << v
-        adjmask[v] |= 1 << u
-
+    adjmask = _adjmask(g)
+    size = 1 << n
     NEG = -1
-    dp1 = [dict() for _ in range(n)]  # dp1[v][S] = value, root degree 1
-    dp2 = [dict() for _ in range(n)]  # dp2[v][S] = value, root degree >= 2
-    bp: dict[tuple[int, int, int], tuple] = {}
-    resolved: list[dict[int, int]] = [dict() for _ in range(n)]
-    resolved_tag: dict[tuple[int, int], int] = {}
-
+    dp1 = [[NEG] * size for _ in range(n)]  # dp1[v][S]: root degree 1
+    dp2 = [[NEG] * size for _ in range(n)]  # dp2[v][S]: root degree >= 2
+    # back[c][v][S] = (class of the tree before the last attachment, child
+    # root, child subtree) for the best state (S, v, c).
+    back: dict[int, list[list[Any]]] = {
+        c: [[None] * size for _ in range(n)] for c in (1, 2)
+    }
+    # resolved[v][T]: best value of a subtree on T rooted at v once v is
+    # attached below a parent; tag[v][T] is v's class before attachment.
+    resolved = [[NEG] * size for _ in range(n)]
+    tag = [[0] * size for _ in range(n)]
     for v in range(n):
-        resolved[v][1 << v] = 0  # child that stays a leaf
-        resolved_tag[(v, 1 << v)] = 0
-
-    masks = sorted(range(1, 1 << n), key=lambda m: bin(m).count("1"))
-    for mask in masks:
-        bits = [v for v in range(n) if (mask >> v) & 1]
-        if len(bits) == 1:
-            continue
-        for v in bits:
-            rest = mask ^ (1 << v)
-            # Enumerate the last-attached child subtree T, a submask of rest.
-            t = rest
-            while t:
-                if t & adjmask[v]:
-                    base = mask ^ t  # previous tree at v, contains v
-                    base_states: list[tuple[int, int]] = []
-                    if base == (1 << v):
-                        base_states.append((0, 0))
-                    val1 = dp1[v].get(base, NEG)
-                    if val1 > NEG:
-                        base_states.append((1, val1))
-                    val2 = dp2[v].get(base, NEG)
-                    if val2 > NEG:
-                        base_states.append((2, val2))
-                    if base_states:
-                        cand = t & adjmask[v]
-                        while cand:
-                            u = (cand & -cand).bit_length() - 1
-                            cand &= cand - 1
-                            child = resolved[u].get(t, NEG)
-                            if child <= NEG:
-                                continue
-                            for cls, val in base_states:
-                                new_cls = 2 if cls >= 1 else 1
-                                total = val + child
-                                store = dp2[v] if new_cls == 2 else dp1[v]
-                                if total > store.get(mask, NEG):
-                                    store[mask] = total
-                                    bp[(new_cls, mask, v)] = (cls, base, u, t)
-                t = (t - 1) & rest
-        for v in bits:
-            # Resolve v as a child root: degree bumps by one on attachment.
-            options = []
-            v1 = dp1[v].get(mask, NEG)
-            if v1 > NEG:
-                options.append((1, v1 + 1))
-            v2 = dp2[v].get(mask, NEG)
-            if v2 > NEG:
-                options.append((2, v2 + 1))
-            if options:
-                tag, value = max(options, key=lambda o: (o[1], -o[0]))
-                resolved[v][mask] = value
-                resolved_tag[(v, mask)] = tag
+        resolved[v][1 << v] = 0  # a child that stays a leaf
 
     best_value = 0
     best_state: tuple[int, int, int] | None = None
-    for v in range(n):
-        for mask, val in dp1[v].items():
-            if val > best_value:
-                best_value, best_state = val, (1, mask, v)
-        for mask, val in dp2[v].items():
-            if val + 1 > best_value:
-                best_value, best_state = val + 1, (2, mask, v)
+    for mask in range(3, size):
+        if not mask & (mask - 1):
+            continue
+        for v in range(n):
+            bit = 1 << v
+            if not mask & bit:
+                continue
+            nbrs = adjmask[v]
+            rest = mask ^ bit
+            low = rest & -rest
+            others = rest ^ low
+            d1, d2 = dp1[v], dp2[v]
+            best1 = best2 = NEG
+            arg1 = arg2 = None
+            sub = others
+            while True:
+                t = low | sub
+                cand = t & nbrs
+                if cand:
+                    base = mask ^ t
+                    if base == bit:
+                        prev_cls, prev = 0, 0
+                    elif d1[base] >= d2[base]:
+                        prev_cls, prev = 1, d1[base]
+                    else:
+                        prev_cls, prev = 2, d2[base]
+                    if prev > NEG:
+                        child = via = NEG
+                        while cand:
+                            c = cand & -cand
+                            cand ^= c
+                            u = c.bit_length() - 1
+                            r = resolved[u][t]
+                            if r > child:
+                                child, via = r, u
+                        if child > NEG:
+                            total = prev + child
+                            if prev_cls == 0:  # only t == rest leaves base == bit
+                                best1, arg1 = total, (0, via, t)
+                            elif total > best2:
+                                best2, arg2 = total, (prev_cls, via, t)
+                if not sub:
+                    break
+                sub = (sub - 1) & others
+            d1[mask] = best1
+            d2[mask] = best2
+            back[1][v][mask] = arg1
+            back[2][v][mask] = arg2
+            # No state reads a tree on its own mask, so v resolves here.
+            if best1 >= best2:
+                if best1 > NEG:
+                    resolved[v][mask] = best1 + 1
+                    tag[v][mask] = 1
+            else:
+                resolved[v][mask] = best2 + 1
+                tag[v][mask] = 2
+            if best1 > best_value:
+                best_value, best_state = best1, (1, mask, v)
+            if best2 + 1 > best_value:
+                best_value, best_state = best2 + 1, (2, mask, v)
 
     edges: set[tuple[int, int]] = set()
-
-    def rebuild(cls: int, mask: int, v: int) -> None:
+    stack = [best_state] if best_state is not None else []
+    while stack:
+        cls, mask, v = stack.pop()
         if cls == 0:
-            return
-        prev_cls, base, u, t = bp[(cls, mask, v)]
+            continue
+        prev_cls, u, t = back[cls][v][mask]
         edges.add(normalize_edge(v, u))
-        rebuild(prev_cls, base, v)
-        rebuild(resolved_tag[(u, t)], t, u)
-
-    if best_state is not None:
-        rebuild(*best_state)
+        stack.append((prev_cls, mask ^ t, v))
+        stack.append((tag[u][t], t, u))
     return ExactSolution(best_value, frozenset(edges))
 
 
@@ -482,10 +523,7 @@ def _tw_elimination(g: Graph) -> tuple[int, list[int]]:
     n = g.n
     if n == 0:
         return -1, []
-    adjmask = [0] * n
-    for u, v in g.edges:
-        adjmask[u] |= 1 << v
-        adjmask[v] |= 1 << u
+    adjmask = _adjmask(g)
     full = (1 << n) - 1
 
     def fill_degree(done: int, v: int) -> int:
@@ -505,11 +543,12 @@ def _tw_elimination(g: Graph) -> tuple[int, list[int]]:
                     stack.append(y)
                 else:
                     outside |= 1 << y
-        return bin(outside).count("1")
+        return outside.bit_count()
 
-    f = {0: -1}
-    choice: dict[int, int] = {}
-    for mask in sorted(range(1, 1 << n), key=lambda m: bin(m).count("1")):
+    # Each mask reads strict submasks only, which are numerically smaller.
+    f = [-1] * (full + 1)
+    choice = [0] * (full + 1)
+    for mask in range(1, full + 1):
         best = None
         best_v = -1
         rest = mask

@@ -83,6 +83,12 @@ def instance_documents(draw):
                 st.just(cover),
                 vertices,
                 st.just([list(e) for e in edges[: draw(st.integers(0, 4))]]),
+                st.just(
+                    {
+                        "bags": [list(e) for e in edges],
+                        "tree": [[i, i + 1] for i in range(len(edges) - 1)],
+                    }
+                ),
             )
         ),
         "modification": {

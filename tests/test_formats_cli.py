@@ -451,7 +451,13 @@ def _write_document(tmp_path, **fields):
 
 
 @pytest.mark.parametrize(
-    "problem, k", [("clique", 1), ("longest_path", 0)]
+    "problem, k",
+    [
+        ("clique", 1),
+        ("longest_path", 0),
+        ("vertex_cover", 1),
+        ("connected_vertex_cover", 1),
+    ],
 )
 def test_cli_verify_solution_rejects_a_vertex_outside_the_graph(
     problem, k, tmp_path, capsys
@@ -491,3 +497,75 @@ def test_cli_longest_path_witness_broken_by_a_deletion(tmp_path, capsys):
         capsys, "reopt", "kernelize", "--problem", "generic", "--input", path
     )
     assert code == 0 and json.loads(out)["answer"] is False
+
+
+def test_cli_treewidth_witness_round_trips(tmp_path, capsys):
+    graph = {"n": 3, "edges": [[0, 1], [1, 2]]}
+    path = _write_document(tmp_path, problem="treewidth", graph=graph, k=1)
+    code, out = run_cli(capsys, "solve", "--problem", "treewidth", "--input", path)
+    assert code == 0
+    witness = json.loads(out)["witness"]
+    path = _write_document(
+        tmp_path, problem="treewidth", graph=graph, k=1, witness=witness
+    )
+    code, out = run_cli(capsys, "verify", "solution", "--input", path)
+    assert code == 0 and json.loads(out)["valid"] is True
+
+
+@pytest.mark.parametrize(
+    "witness",
+    [
+        [0, 1],
+        {"bags": [[0, 1]]},
+        {"bags": [[0, 1]], "tree": [[0, 1]]},
+        {"bags": [["a"]], "tree": []},
+        {"bags": [0], "tree": []},
+    ],
+)
+def test_cli_malformed_treewidth_witness_is_a_usage_error(witness, tmp_path, capsys):
+    path = _write_document(
+        tmp_path,
+        problem="treewidth",
+        graph={"n": 3, "edges": [[0, 1], [1, 2]]},
+        k=1,
+        witness=witness,
+    )
+    code, out = run_cli(capsys, "verify", "solution", "--input", path)
+    assert code == 2 and out == ""
+
+
+def _treewidth_reopt_document(tmp_path, graph, witness):
+    return _write_document(
+        tmp_path,
+        problem="treewidth",
+        graph=graph,
+        k=1,
+        witness=witness,
+        modification={"op": "edge_add", "u": 3, "v": 4},
+    )
+
+
+def test_cli_reopt_rejects_an_invalid_decomposition(tmp_path, capsys):
+    """At k' = k the AND dispatch re-checks only the new edge's component,
+    so a decomposition that hides the triangle would answer yes."""
+    path = _treewidth_reopt_document(
+        tmp_path,
+        {"n": 5, "edges": [[0, 1], [0, 2], [1, 2]]},
+        {"bags": [[0, 1], [1, 2], [3], [4]], "tree": [[0, 1], [1, 2], [2, 3]]},
+    )
+    code, out = run_cli(
+        capsys, "reopt", "kernelize", "--problem", "generic", "--input", path
+    )
+    assert code == 4 and out == ""
+
+
+def test_cli_reopt_accepts_a_valid_decomposition(tmp_path, capsys):
+    path = _treewidth_reopt_document(
+        tmp_path,
+        {"n": 5, "edges": [[0, 1], [1, 2]]},
+        {"bags": [[0, 1], [1, 2], [3], [4]], "tree": [[0, 1], [1, 2], [2, 3]]},
+    )
+    code, out = run_cli(
+        capsys, "reopt", "kernelize", "--problem", "generic", "--input", path
+    )
+    assert code == 0 and json.loads(out)["answer"] is True

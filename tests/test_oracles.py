@@ -1,4 +1,6 @@
+import json
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +26,8 @@ from rekern.oracles import (
 )
 from rekern.problems import ProblemKind as PK
 from rekern.setcover import SetCoverInstance
+
+IVST_VALUES = Path(__file__).with_name("data") / "ivst_values.json"
 
 
 def brute_vc(g: Graph) -> int:
@@ -98,6 +102,49 @@ def test_ivst_known_values():
     assert solve_exact(PK.IVST, star_graph(4)).value == 1
     assert solve_exact(PK.IVST, complete_graph(4)).value == 2
     assert solve_exact(PK.IVST, Graph.from_edges(2, [(0, 1)])).value == 0
+
+
+def _pinned_ivst_values():
+    """(graph, value) pairs from ``tests/data/ivst_values.json``."""
+    from rekern.graphs import components
+    from rekern.smallgraphs import all_graphs_upto
+
+    data = json.loads(IVST_VALUES.read_text())
+    atlas = [g for g in all_graphs_upto(7) if len(components(g)) == 1]
+    assert len(atlas) == len(data["atlas"]) == 996
+    pairs = list(zip(atlas, data["atlas"]))
+    for entry in data["random"]:
+        g = Graph.from_edges(entry["n"], [tuple(e) for e in entry["edges"]])
+        assert len(components(g)) == 1 and 8 <= g.n <= 10
+        pairs.append((g, entry["value"]))
+    return pairs
+
+
+def test_ivst_values_match_the_pinned_subset_dp():
+    """The shortcut and the canonical-order subset DP each give the pinned
+    optimum, with a witness subtree that reaches it."""
+    for g, value in _pinned_ivst_values():
+        for solver in (oracles._solve_ivst, oracles._ivst_subset_dp):
+            solution = solver(g)
+            assert solution.value == value, (solver.__name__, g)
+            assert verify_solution(PK.IVST, g, solution.witness, value)
+
+
+def test_ivst_subset_dp_runs_only_without_a_hamiltonian_path(monkeypatch):
+    calls = []
+    subset_dp = oracles._ivst_subset_dp
+    monkeypatch.setattr(
+        oracles, "_ivst_subset_dp", lambda g: calls.append(g) or subset_dp(g)
+    )
+    hamiltonian = cycle_graph(7)
+    solution = oracles._solve_ivst(hamiltonian)
+    assert solution.value == 5 and calls == []
+    assert verify_solution(PK.IVST, hamiltonian, solution.witness, 5)
+    # Three legs of length 2 around vertex 0: no Hamiltonian path.
+    spider = Graph.from_edges(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
+    solution = oracles._solve_ivst(spider)
+    assert solution.value == 4 and calls == [spider]
+    assert verify_solution(PK.IVST, spider, solution.witness, 4)
 
 
 def test_longest_path_known_values():
