@@ -233,6 +233,8 @@ def compositional_reopt_kernelize(
         or_mode and not _avoids(inst.witness, inst.modification)
     ):
         modified = inst.modified
+        if not modified.n:  # no component to combine: ask about the empty graph
+            return KernelResult.decided(spec.oracle(modified, inst.k_modified))
         parts = [induced_subgraph(modified, c) for c in components(modified)]
     elif or_mode:
         return KernelResult.decided(True)

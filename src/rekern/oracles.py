@@ -14,10 +14,12 @@ IVST and treewidth are subset DPs over one bitmask adjacency
 (``_adjmask``).  IVST answers n - 2 outright on a component with a
 Hamiltonian path, the most any subtree can reach, and its subset DP
 attaches a root's children in one canonical order instead of every
-order.  Per-component solves of vertex cover, treewidth, IVST, longest
-path and clique are memoized on the unlabelled component ``(n, edges)``
-in a bounded LRU cache (``_solve_component``), because kernel checks and
-compositional dispatch ask about the same small graphs again and again.
+order.  Treewidth reads each fill degree from a table of Q(S, v), the
+vertices outside S that v reaches through S.  Per-component solves of
+vertex cover, treewidth, IVST, longest path and clique are memoized on
+the unlabelled component ``(n, edges)`` in a bounded LRU cache
+(``_solve_component``), because kernel checks and compositional dispatch
+ask about the same small graphs again and again.
 Size guards run before every lookup, so a cached answer never bypasses a
 guard.
 """
@@ -519,88 +521,84 @@ def _ivst_subset_dp(g: Graph) -> ExactSolution:
 
 
 def _tw_elimination(g: Graph) -> tuple[int, list[int]]:
-    """Treewidth and an optimal elimination order via DP over subsets."""
+    """Treewidth and an optimal elimination order via DP over subsets.
+
+    Eliminating v last within S costs |Q(S - v, v)|, where Q(S, v) holds
+    the vertices outside S u {v} that v reaches through S.  With w the
+    lowest vertex of S, Q(S, v) is Q(S - w, v) when w is not in it, else
+    (Q(S - w, v) | Q(S - w, w)) - {w, v} (Bodlaender, Fomin, Koster,
+    Kratsch and Thilikos, "On exact algorithms for treewidth", 2012).  Both
+    tables read strict submasks only, so one ascending pass fills them.
+    """
     n = g.n
     if n == 0:
         return -1, []
-    adjmask = _adjmask(g)
-    full = (1 << n) - 1
-
-    def fill_degree(done: int, v: int) -> int:
-        # Vertices outside done u {v} adjacent to v or reachable through done.
-        seen = 1 << v
-        stack = [v]
-        outside = 0
-        while stack:
-            x = stack.pop()
-            nbrs = adjmask[x] & ~seen
-            seen |= nbrs
-            rest = nbrs
-            while rest:
-                y = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                if (done >> y) & 1:
-                    stack.append(y)
-                else:
-                    outside |= 1 << y
-        return outside.bit_count()
-
-    # Each mask reads strict submasks only, which are numerically smaller.
-    f = [-1] * (full + 1)
-    choice = [0] * (full + 1)
-    for mask in range(1, full + 1):
-        best = None
-        best_v = -1
-        rest = mask
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            prior = mask ^ (1 << v)
-            width = max(f[prior], fill_degree(prior, v))
-            if best is None or width < best:
-                best, best_v = width, v
-        f[mask] = best  # type: ignore[assignment]
+    size = 1 << n
+    q = _adjmask(g) + [0] * ((size - 1) * n)  # Q({}, v) = N(v)
+    f = [-1] * size
+    choice = [0] * size
+    for mask in range(1, size):
+        low = mask & -mask
+        base = (mask ^ low) * n
+        via = q[base + low.bit_length() - 1]
+        row = mask * n
+        best, best_v = n, -1
+        for v in range(n):
+            bit = 1 << v
+            if mask & bit:
+                prior = mask ^ bit
+                width = q[prior * n + v].bit_count()
+                if f[prior] > width:
+                    width = f[prior]
+                if width < best:
+                    best, best_v = width, v
+            else:
+                reach = q[base + v]
+                if reach & low:
+                    reach = (reach | via) & ~(low | bit)
+                q[row + v] = reach
+        f[mask] = best
         choice[mask] = best_v
 
     order = []
-    mask = full
+    mask = size - 1
     while mask:
-        v = choice[mask]
-        order.append(v)
-        mask ^= 1 << v
+        order.append(choice[mask])
+        mask ^= 1 << order[-1]
     order.reverse()  # choice[mask] is the vertex eliminated last within mask
-    return f[full], order
+    return f[size - 1], order
 
 
 def _td_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
-    """Tree decomposition induced by an elimination order (fill-in method)."""
+    """Tree decomposition induced by an elimination order (fill-in method).
+
+    A forward pass eliminates the vertices in order, turning each one's
+    later neighbours into a clique; a backward pass then gives each vertex
+    the bag {v} u later(v), in reverse order, and attaches it to the first
+    earlier bag holding later(v) (bag 0 if none).
+    """
     if g.n == 0:
         return TreeDecomposition(Graph.from_edges(1), (frozenset(),))
-    if len(order) == 1:
-        return TreeDecomposition(Graph.from_edges(1), (frozenset({order[0]}),))
-    v = order[0]
-    nbrs = set(g.neighbors(v))
-    remaining = [w for w in g.vertices if w != v]
-    fill = {normalize_edge(a, b) for a, b in combinations(sorted(nbrs), 2)}
-    reduced_edges = {e for e in g.edges if v not in e} | fill
-    remap = {old: new for new, old in enumerate(sorted(remaining))}
-    reduced = Graph(
-        g.n - 1,
-        frozenset(normalize_edge(remap[a], remap[b]) for a, b in reduced_edges),
-    )
-    sub_order = [remap[w] for w in order[1:]]
-    sub_td = _td_from_order(reduced, sub_order)
-    back = {new: old for old, new in remap.items()}
-    bags = tuple(frozenset(back[x] for x in bag) for bag in sub_td.bags)
-    new_bag = frozenset({v} | nbrs)
-    attach = 0
-    for i, bag in enumerate(bags):
-        if nbrs <= bag:
-            attach = i
-            break
-    tree_edges = set(sub_td.tree.edges) | {normalize_edge(len(bags), attach)}
-    tree = Graph(len(bags) + 1, frozenset(tree_edges))
-    return TreeDecomposition(tree, bags + (new_bag,))
+    adjmask = _adjmask(g)
+    remaining = (1 << g.n) - 1
+    later = [0] * g.n
+    for v in order:
+        remaining ^= 1 << v
+        rest = later[v] = nbrs = adjmask[v] & remaining
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            adjmask[low.bit_length() - 1] |= nbrs ^ low
+    masks: list[int] = []
+    tree_edges = []
+    for v in reversed(order):
+        nbrs = later[v]
+        if masks:
+            attach = next((i for i, m in enumerate(masks) if not nbrs & ~m), 0)
+            tree_edges.append((attach, len(masks)))
+        masks.append(nbrs | 1 << v)
+    bags = tuple(frozenset(u for u in range(g.n) if m >> u & 1) for m in masks)
+    return TreeDecomposition(Graph(len(bags), frozenset(tree_edges)), bags)
 
 
 def _solve_treewidth(g: Graph) -> ExactSolution:

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from rekern.errors import DegreeTooHigh, SpecModificationMismatch
@@ -190,6 +192,68 @@ def test_dispatch_agrees_with_oracle_random(rng):
         assert out.answer == membership(PK.IVST, inst.modified, k)
         cases += 1
     assert cases > 25
+
+
+def _sweep_modifications(g: Graph, allowed):
+    """Every modification of ``g`` of an allowed type; vertex additions
+    take at most 12 neighbour sets, spread evenly over all of them."""
+    from tests.conftest import absent_pairs
+
+    if EdgeAdd in allowed:
+        yield from (EdgeAdd(u, v) for u, v in absent_pairs(g))
+    if VertexAdd in allowed:
+        sets = [frozenset(c) for r in range(g.n + 1) for c in combinations(g.vertices, r)]
+        if len(sets) > 12:
+            sets = [sets[i * (len(sets) - 1) // 11] for i in range(12)]
+        yield from (VertexAdd(s) for s in sets)
+    if EdgeDel in allowed:
+        yield from (EdgeDel(u, v) for u, v in sorted(g.edges))
+    if VertexDel in allowed:
+        yield from (VertexDel(v) for v in g.vertices)
+
+
+def test_dispatch_agrees_with_oracle_on_every_small_graph():
+    """Every atlas graph on 1-5 vertices, every builtin spec, every supported
+    modification, every k in 0..n+1 and every allowed k', with the oracle's
+    witness exactly when the original is a yes at k."""
+    from rekern.framework import _SUPPORTED
+    from rekern.problems import Direction
+    from rekern.smallgraphs import all_graphs_upto
+
+    dispatches = 0
+    for kind in (PK.IVST, PK.CLIQUE, PK.LONGEST_PATH, PK.TREEWIDTH):
+        spec, ck = builtin_spec(kind), exact_ck(kind)
+        allowed = _SUPPORTED[(spec.compositionality, spec.monotonicity)]
+        for g in all_graphs_upto(5):
+            solution = solve_exact(kind, g)
+            for k in range(g.n + 2):
+                witness = solution.witness if membership(kind, g, k) else None
+                for m in _sweep_modifications(g, allowed):
+                    n_modified = g.n + (1 if isinstance(m, VertexAdd) else 0)
+                    if spec.direction is Direction.MIN:
+                        allowed_k = range(k + 1)
+                    else:
+                        allowed_k = range(k, n_modified + 2)
+                    for k_modified in allowed_k:
+                        inst = ReoptInstance(kind, g, k, witness, m, k_modified)
+                        out = compositional_reopt_kernelize(inst, spec, ck)
+                        expected = membership(kind, inst.modified, k_modified)
+                        assert out.is_decided and out.answer == expected, (
+                            kind, g, k, k_modified, m, witness
+                        )
+                        dispatches += 1
+    assert dispatches == 80_118
+
+
+def test_dispatch_on_a_deletion_that_leaves_no_vertex():
+    """A longest path of length 0 exists in the empty graph, so deleting the
+    only vertex keeps a yes at k' = 0 even though no component is left."""
+    inst = ReoptInstance(PK.LONGEST_PATH, Graph.from_edges(1), 0, (0,), VertexDel(0), 0)
+    out = compositional_reopt_kernelize(
+        inst, builtin_spec(PK.LONGEST_PATH), exact_ck(PK.LONGEST_PATH)
+    )
+    assert membership(PK.LONGEST_PATH, inst.modified, 0) is True
+    assert out.is_decided and out.answer is True
 
 
 def test_union_of_reduced_component_kernels():

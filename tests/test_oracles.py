@@ -28,6 +28,7 @@ from rekern.problems import ProblemKind as PK
 from rekern.setcover import SetCoverInstance
 
 IVST_VALUES = Path(__file__).with_name("data") / "ivst_values.json"
+TREEWIDTH_VALUES = Path(__file__).with_name("data") / "treewidth_values.json"
 
 
 def brute_vc(g: Graph) -> int:
@@ -95,6 +96,31 @@ def test_treewidth_known_values_and_brute(rng):
         assert got.value == brute_treewidth(g)
         assert validate_tree_decomposition(g, got.witness) == []
         assert got.witness.width == got.value
+
+
+def test_treewidth_outputs_match_the_pinned_fill_degree_search():
+    """Width, elimination order and decomposition (bags in order, tree
+    edges) equal those pinned in ``tests/data/treewidth_values.json``, and
+    every decomposition validates."""
+    from rekern.graphs import components
+    from rekern.smallgraphs import all_graphs_upto
+
+    data = json.loads(TREEWIDTH_VALUES.read_text())
+    atlas = [g for g in all_graphs_upto(7) if len(components(g)) == 1]
+    assert len(atlas) == len(data["atlas"]) == 996 and len(data["random"]) == 20
+    cases = list(zip(atlas, data["atlas"]))
+    for entry in data["random"]:
+        g = Graph.from_edges(entry["n"], [tuple(e) for e in entry["edges"]])
+        assert len(components(g)) == 1 and 8 <= g.n <= 10
+        cases.append((g, entry))
+    for g, entry in cases:
+        assert oracles._tw_elimination(g) == (entry["width"], entry["order"]), g
+        solution = oracles._solve_treewidth(g)
+        td = solution.witness
+        assert solution.value == entry["width"], g
+        assert [sorted(bag) for bag in td.bags] == entry["bags"], g
+        assert sorted(list(e) for e in td.tree.edges) == entry["tree"], g
+        assert validate_tree_decomposition(g, td) == []
 
 
 def test_ivst_known_values():
