@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, components, induced_subgraph
+from .graphs import Graph, components, reach_within
 
 
 @dataclass(frozen=True)
@@ -40,10 +40,7 @@ def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> list[str]:
         if not any(u in bag and v in bag for bag in td.bags):
             violations.append(f"edge {(u, v)} inside no bag")
     for v in g.vertices:
-        holding = [i for i, bag in enumerate(td.bags) if v in bag]
-        if not holding:
-            continue
-        sub, _ = induced_subgraph(td.tree, holding)
-        if len(components(sub)) != 1:
+        holding = {i for i, bag in enumerate(td.bags) if v in bag}
+        if holding and len(reach_within(td.tree, min(holding), holding)) != len(holding):
             violations.append(f"bags containing vertex {v} do not form a subtree")
     return violations

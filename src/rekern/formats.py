@@ -208,6 +208,7 @@ def parse_dimacs(text: str) -> Graph:
             continue
         parts = line.split()
         if parts[0] == "p":
+            _require(n is None, f"line {lineno}: second problem line")
             _require(
                 len(parts) == 4 and parts[1] == "edge",
                 f"line {lineno}: expected 'p edge <n> <m>'",

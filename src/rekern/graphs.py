@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import AbstractSet, Iterable, Sequence
 
 from .errors import ModificationInvalid, VertexOutOfRange
 
@@ -223,6 +223,19 @@ def components(g: Graph) -> list[list[int]]:
                     queue.append(y)
         result.append(sorted(comp))
     return result
+
+
+def reach_within(g: Graph, start: int, within: AbstractSet[int]) -> set[int]:
+    """The component of ``start`` in the subgraph induced by ``within``
+    (which holds ``start``), found without building that subgraph."""
+    reached = {start}
+    stack = [start]
+    while stack:
+        for y in g.adjacency[stack.pop()]:
+            if y in within and y not in reached:
+                reached.add(y)
+                stack.append(y)
+    return reached
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:

@@ -9,17 +9,19 @@ solver enumerates candidates directly.
 
 Oracles are the verification backbone for every kernelizer in the
 package, so they stay exhaustive: no heuristic decides a value.  They
-avoid waste only where an argument shows it is exact.  Longest path,
-IVST and treewidth are subset DPs over one bitmask adjacency
-(``_adjmask``).  IVST answers n - 2 outright on a component with a
-Hamiltonian path, the most any subtree can reach, and its subset DP
-attaches a root's children in one canonical order instead of every
-order.  Treewidth reads each fill degree from a table of Q(S, v), the
-vertices outside S that v reaches through S.  Per-component solves of
-vertex cover, treewidth, IVST, longest path and clique are memoized on
-the unlabelled component ``(n, edges)`` in a bounded LRU cache
-(``_solve_component``), because kernel checks and compositional dispatch
-ask about the same small graphs again and again.
+avoid waste only where an argument shows it is exact.  All five
+component solvers run on one bitmask adjacency (``_adjmask``): vertex
+cover branches on a vertex or all its neighbours, clique grows in
+ascending order under a size bound, and both break ties with one rule
+(``_lex_first``); longest path, IVST and treewidth are subset DPs.  IVST
+answers n - 2 outright on a component with a Hamiltonian path, the most
+any subtree can reach, and its subset DP attaches a root's children in
+one canonical order instead of every order.  Treewidth reads each fill
+degree from a table of Q(S, v), the vertices outside S that v reaches
+through S.  ``solve_exact`` runs one component loop for all five and
+memoizes each component on the unlabelled ``(n, edges)`` in a bounded
+LRU cache (``_solve_component``), because kernel checks and
+compositional dispatch ask about the same small graphs again and again.
 Size guards run before every lookup, so a cached answer never bypasses a
 guard.
 """
@@ -33,7 +35,14 @@ from typing import Any, Iterable
 
 from .decomposition import TreeDecomposition, validate_tree_decomposition
 from .errors import SizeGuardExceeded, UnsupportedProblem
-from .graphs import Digraph, Graph, components, induced_subgraph, normalize_edge
+from .graphs import (
+    Digraph,
+    Graph,
+    components,
+    induced_subgraph,
+    normalize_edge,
+    reach_within,
+)
 from .instances import KernelResult
 from .matching import greedy_matching
 from .problems import Direction, ProblemKind, direction_of
@@ -69,13 +78,25 @@ def _guard(kind: ProblemKind, size: int, limit: int | None) -> None:
 
 
 def _adjmask(g: Graph) -> list[int]:
-    """Each vertex's neighbourhood as a bitmask: the scaffold of the subset
-    DPs for longest path, IVST and treewidth."""
+    """Each vertex's neighbourhood as a bitmask: the scaffold of every
+    component solver."""
     adjmask = [0] * g.n
     for u, v in g.edges:
         adjmask[u] |= 1 << v
         adjmask[v] |= 1 << u
     return adjmask
+
+
+def _vertex_set(mask: int) -> frozenset[int]:
+    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def _lex_first(a: int, b: int) -> bool:
+    """Whether vertex set a comes before b: the lowest vertex in exactly one
+    of them is in a.  On sets of one size this is the order of their sorted
+    tuples."""
+    diff = a ^ b
+    return bool(a & diff & -diff)
 
 
 # --- vertex cover ----------------------------------------------------------
@@ -88,43 +109,41 @@ def is_vertex_cover(g: Graph, candidate: Iterable[int]) -> bool:
     return all(u in cover or v in cover for u, v in g.edges)
 
 
-def _vc_branch(adj: dict[int, set[int]], budget: int | None) -> tuple[int, tuple[int, ...]] | None:
-    """Smallest (size, sorted-tuple) cover of the edge set in ``adj``.
+def _solve_vertex_cover(g: Graph) -> ExactSolution:
+    """Minimum vertex cover, the lexicographically first among minimum ones.
 
-    Branches on an endpoint of an uncovered edge around a max-degree
-    vertex; both branches are explored so the lexicographic minimum among
-    minimum covers survives.
+    Branches on the lowest vertex u of maximum degree in the uncovered
+    graph: either u joins the cover, or all of its uncovered neighbours
+    do (Cygan et al., *Parameterized Algorithms*, 2015, ch. 3).  A branch
+    goes on only while it is smaller than the best cover so far, so covers
+    that tie it still reach a leaf and ``_lex_first`` breaks the tie.
     """
-    live = {v: ns for v, ns in adj.items() if ns}
-    if not live:
-        return (0, ())
-    if budget is not None and budget <= 0:
-        return None
-    u = max(sorted(live), key=lambda v: len(live[v]))
-    v = max(sorted(live[u]), key=lambda w: len(live.get(w, ())))
+    adjmask = _adjmask(g)
+    best_size, best = g.n, (1 << g.n) - 1
 
-    best: tuple[int, tuple[int, ...]] | None = None
-    for pick in (u, v):
-        reduced = {x: (ns - {pick}) for x, ns in adj.items() if x != pick}
-        sub_budget = None if budget is None else budget - 1
-        sub = _vc_branch(reduced, sub_budget)
-        if sub is None:
-            continue
-        size, vertices = sub
-        candidate = (size + 1, tuple(sorted(vertices + (pick,))))
-        if best is None or candidate < best:
-            best = candidate
-            if budget is not None:
-                budget = min(budget, candidate[0])
-    return best
+    def branch(rest: int, cover: int, size: int) -> None:
+        nonlocal best_size, best
+        top = u = 0
+        scan = rest
+        while scan:
+            low = scan & -scan
+            scan ^= low
+            degree = (adjmask[low.bit_length() - 1] & rest).bit_count()
+            if degree > top:
+                top, u = degree, low.bit_length() - 1
+        if not top:
+            if size < best_size or (size == best_size and _lex_first(cover, best)):
+                best_size, best = size, cover
+            return
+        if size >= best_size:
+            return
+        bit = 1 << u
+        branch(rest ^ bit, cover | bit, size + 1)
+        nbrs = adjmask[u] & rest
+        branch(rest & ~(nbrs | bit), cover | nbrs, size + top)
 
-
-def _solve_vertex_cover(g: Graph, budget: int | None = None) -> ExactSolution:
-    adj = {v: set(g.adjacency[v]) for v in g.vertices}
-    result = _vc_branch(adj, budget)
-    if result is None:
-        return ExactSolution(None, None)
-    return ExactSolution(result[0], frozenset(result[1]))
+    branch((1 << g.n) - 1, 0, 0)
+    return ExactSolution(best_size, _vertex_set(best))
 
 
 def all_minimum_vertex_covers(g: Graph) -> list[frozenset[int]]:
@@ -142,43 +161,24 @@ def all_minimum_vertex_covers(g: Graph) -> list[frozenset[int]]:
 
 
 def is_connected_vertex_cover(g: Graph, candidate: Iterable[int]) -> bool:
-    cover = sorted(set(candidate))
+    cover = set(candidate)
     if not is_vertex_cover(g, cover):
         return False
-    if len(cover) <= 1:
-        return True
-    sub, _ = induced_subgraph(g, cover)
-    return len(components(sub)) == 1
-
-
-def _anchor_component(g: Graph, vs: frozenset[int]) -> tuple[set[int], bool]:
-    """Component of the smallest vertex within the induced subgraph on vs,
-    plus whether it already spans all of vs."""
-    start = min(vs)
-    comp = {start}
-    frontier = [start]
-    while frontier:
-        x = frontier.pop()
-        for y in g.adjacency[x]:
-            if y in vs and y not in comp:
-                comp.add(y)
-                frontier.append(y)
-    return comp, len(comp) == len(vs)
+    return len(cover) <= 1 or len(reach_within(g, min(cover), cover)) == len(cover)
 
 
 def _cvc_completions(
     g: Graph,
     cover: frozenset[int],
-    cap: int,
+    cap: int | None,
     best: list[tuple[int, tuple[int, ...]]],
-    stop_at: int | None,
 ) -> bool:
     """Exhaustively grow ``cover`` until its induced subgraph is connected.
 
     Every connected completion is reachable by repeatedly adding a vertex
     adjacent to the component of the smallest cover vertex, so the search
-    only branches on those candidates.  Returns True once a completion of
-    size <= stop_at has been recorded.
+    only branches on those candidates.  With a cap, completions stay within
+    it and the search returns True at the first one it records.
     """
     stack = [cover]
     seen = {cover}
@@ -186,15 +186,15 @@ def _cvc_completions(
         current = stack.pop()
         if best and (len(current), tuple(sorted(current))) >= best[0]:
             continue
-        anchor, connected = _anchor_component(g, current)
-        if connected:
+        anchor = reach_within(g, min(current), current)
+        if len(anchor) == len(current):
             entry = (len(current), tuple(sorted(current)))
             if not best or entry < best[0]:
                 best[:] = [entry]
-                if stop_at is not None and entry[0] <= stop_at:
+                if cap is not None:
                     return True
             continue
-        if len(current) >= cap:
+        if cap is not None and len(current) >= cap:
             continue
         candidates: set[int] = set()
         for a in anchor:
@@ -207,15 +207,14 @@ def _cvc_completions(
     return False
 
 
-def _solve_cvc(
-    g: Graph, cap: int | None = None, stop_at: int | None = None
-) -> ExactSolution:
-    """Minimum connected vertex cover of size <= cap, or None if none exists.
+def _solve_cvc(g: Graph, cap: int | None = None) -> ExactSolution:
+    """Minimum connected vertex cover, or with ``cap`` the first connected
+    cover of size <= cap found; None if there is none.
 
     Enumerates covers by bounded branching on uncovered edges, then
-    completes each to a connected set within the remaining budget.  When
-    ``stop_at`` is given the search stops at the first cover of that size
-    or better (enough for membership queries).
+    completes each to a connected set within the remaining budget.  A cap
+    stops the search at its first connected cover, which is enough for
+    membership queries.
     """
     if not g.edges:
         return ExactSolution(0, frozenset())
@@ -240,7 +239,7 @@ def _solve_cvc(
         if not live:
             if chosen not in seen_covers:
                 seen_covers.add(chosen)
-                if _cvc_completions(g, chosen, limit, best, stop_at):
+                if _cvc_completions(g, chosen, cap, best):
                     done = True
             return
         u = max(sorted(live), key=lambda v: len(live[v]))
@@ -273,37 +272,26 @@ def is_clique(g: Graph, candidate: Iterable[int]) -> bool:
 
 
 def _solve_clique(g: Graph) -> ExactSolution:
-    if g.n == 0:
-        return ExactSolution(0, frozenset())
-    omega = 0
+    """Maximum clique, the lexicographically first among maximum ones.
 
-    def grow(candidates: list[int], size: int) -> None:
-        nonlocal omega
-        omega = max(omega, size)
-        for i, v in enumerate(candidates):
-            rest = [w for w in candidates[i + 1 :] if g.has_edge(v, w)]
-            if size + 1 + len(rest) > omega:
-                grow(rest, size + 1)
+    Grows cliques in ascending vertex order and stops a branch once its
+    size plus its candidates falls below the best size (Carraghan and
+    Pardalos, 1990); ties still reach ``_lex_first``.
+    """
+    adjmask = _adjmask(g)
+    best_size = best = 0
 
-    grow(list(g.vertices), 0)
+    def grow(candidates: int, clique: int, size: int) -> None:
+        nonlocal best_size, best
+        if size > best_size or (size == best_size and _lex_first(clique, best)):
+            best_size, best = size, clique
+        while candidates and size + candidates.bit_count() >= best_size:
+            low = candidates & -candidates
+            candidates ^= low
+            grow(candidates & adjmask[low.bit_length() - 1], clique | low, size + 1)
 
-    # Second pass: first clique of size omega in include-first ascending
-    # order is the lexicographically smallest one.
-    target = omega
-
-    def find(candidates: list[int], chosen: tuple[int, ...]) -> tuple[int, ...] | None:
-        if len(chosen) == target:
-            return chosen
-        for i, v in enumerate(candidates):
-            rest = [w for w in candidates[i + 1 :] if g.has_edge(v, w)]
-            if len(chosen) + 1 + len(rest) >= target:
-                found = find(rest, chosen + (v,))
-                if found is not None:
-                    return found
-        return None
-
-    witness = find(list(g.vertices), ()) or ()
-    return ExactSolution(omega, frozenset(witness))
+    grow((1 << g.n) - 1, 0, 0)
+    return ExactSolution(best_size, _vertex_set(best))
 
 
 # --- longest path ----------------------------------------------------------
@@ -597,7 +585,7 @@ def _td_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
             attach = next((i for i, m in enumerate(masks) if not nbrs & ~m), 0)
             tree_edges.append((attach, len(masks)))
         masks.append(nbrs | 1 << v)
-    bags = tuple(frozenset(u for u in range(g.n) if m >> u & 1) for m in masks)
+    bags = tuple(_vertex_set(m) for m in masks)
     return TreeDecomposition(Graph(len(bags), frozenset(tree_edges)), bags)
 
 
@@ -769,74 +757,52 @@ def solve_exact(
 
     if kind is ProblemKind.CONNECTED_VERTEX_COVER:
         _guard(kind, g.n, limit)
-        stop = cvc_budget
-        return _solve_cvc(g, cvc_budget, stop_at=stop)
+        return _solve_cvc(g, cvc_budget)
 
-    if kind is ProblemKind.VERTEX_COVER:
-        total = 0
-        vc_witness: frozenset[int] = frozenset()
-        for comp in components(g):
-            sub, idx = induced_subgraph(g, comp)
-            _guard(kind, sub.n, limit)
-            local = _solve_component(kind, sub.n, sub.edges)
-            total += local.value
-            vc_witness |= frozenset(idx[v] for v in local.witness)
-        return ExactSolution(total, vc_witness)
+    if kind not in _COMPONENT_SOLVERS:
+        raise UnsupportedProblem(f"no exact solver for {kind}")
+    parts = []
+    for comp in components(g):
+        sub, idx = induced_subgraph(g, comp)
+        _guard(kind, sub.n, limit)
+        parts.append((_solve_component(kind, sub.n, sub.edges), idx))
+    if not parts:  # the empty graph
+        return _solve_component(kind, 0, frozenset())
 
+    if kind is ProblemKind.VERTEX_COVER:  # a cover is a sum over components
+        cover: frozenset[int] = frozenset()
+        for local, idx in parts:
+            cover |= _map_witness(kind, local.witness, idx)
+        return ExactSolution(sum(local.value for local, _ in parts), cover)
     if kind is ProblemKind.TREEWIDTH:
         # Width is the maximum over components; the witness decomposition
         # must still cover every component, so the per-component trees are
         # chained together into one tree.
-        if g.n == 0:
-            return _solve_treewidth(g)
-        width = -1
-        all_bags: list[frozenset[int]] = []
+        bags: list[frozenset[int]] = []
         tree_edges: list[tuple[int, int]] = []
-        for comp in components(g):
-            sub, idx = induced_subgraph(g, comp)
-            _guard(kind, sub.n, limit)
-            local = _solve_component(kind, sub.n, sub.edges)
+        for local, idx in parts:
             td: TreeDecomposition = local.witness
-            offset = len(all_bags)
+            offset = len(bags)
             if offset:
                 tree_edges.append((offset - 1, offset))
             tree_edges.extend((offset + a, offset + b) for a, b in td.tree.edges)
-            all_bags.extend(frozenset(idx[v] for v in bag) for bag in td.bags)
-            width = max(width, local.value)
-        combined = TreeDecomposition(
-            Graph.from_edges(len(all_bags), tree_edges), tuple(all_bags)
+            bags.extend(frozenset(idx[v] for v in bag) for bag in td.bags)
+        return ExactSolution(
+            max(local.value for local, _ in parts),
+            TreeDecomposition(Graph.from_edges(len(bags), tree_edges), tuple(bags)),
         )
-        return ExactSolution(width, combined)
-
-    if kind not in _COMPONENT_SOLVERS:
-        raise UnsupportedProblem(f"no exact solver for {kind}")
-
-    # Maximum-over-components problems (IVST, longest path, clique):
-    # solution objects are connected.
-    best_value: int | None = None
-    best_witness: Any = None
-    for comp in components(g):
-        sub, idx = induced_subgraph(g, comp)
-        _guard(kind, sub.n, limit)
-        local = _solve_component(kind, sub.n, sub.edges)
-        if best_value is None or (local.value is not None and local.value > best_value):
-            best_value = local.value
-            best_witness = _map_witness(kind, local.witness, idx)
-    if best_value is None:  # empty graph
-        return _solve_component(kind, g.n, g.edges)
-    return ExactSolution(best_value, best_witness)
+    # IVST, longest path and clique: solution objects are connected, so the
+    # first best component holds the optimum.
+    local, idx = max(parts, key=lambda part: part[0].value)
+    return ExactSolution(local.value, _map_witness(kind, local.witness, idx))
 
 
 def _map_witness(kind: ProblemKind, witness: Any, idx: tuple[int, ...]) -> Any:
-    if witness is None:
-        return None
     if kind is ProblemKind.LONGEST_PATH:
         return tuple(idx[v] for v in witness)
     if kind is ProblemKind.IVST:
         return frozenset(normalize_edge(idx[u], idx[v]) for u, v in witness)
-    if kind is ProblemKind.CLIQUE:
-        return frozenset(idx[v] for v in witness)
-    return witness
+    return frozenset(idx[v] for v in witness)  # vertex cover and clique
 
 
 def membership(

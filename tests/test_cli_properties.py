@@ -8,8 +8,12 @@ witnesses, modifications and crowns run from -1 to n, so some are out of
 range.  Then up to three fields (at the top level or one level down) are
 dropped or replaced by a value of the wrong type.  Each document goes
 through every subcommand, and each must exit 0, 2, 3 or 4; a Python
-traceback fails the test.  The run is derandomized with a fixed number of
-examples, so it adds seconds to the suite.
+traceback fails the test.  DIMACS text (``p edge n m`` / ``e u v``) with
+a missing or second problem line, a wrong edge count, endpoints 0 or
+n + 1, self-loops, non-integers, unknown records and comments goes through
+every subcommand that reads ``--input`` in the same way.  The runs are
+derandomized with a fixed number of examples, so they add seconds to the
+suite.
 """
 
 from __future__ import annotations
@@ -134,6 +138,52 @@ def result_documents(draw):
     return doc
 
 
+DIMACS_MUTATIONS = [
+    "drop p",
+    "second p",
+    "wrong m",
+    "endpoint 0 or n+1",
+    "self-loop",
+    "non-integer",
+    "unknown record",
+    "comment",
+]
+
+
+@st.composite
+def dimacs_texts(draw):
+    """``p edge n m`` / ``e u v`` text, then up to three mutations."""
+    n = draw(st.integers(0, 8))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=10)) if pairs else []
+    lines = [f"p edge {n} {len(edges)}"] + [f"e {u} {v}" for u, v in edges]
+    token = st.one_of(st.integers(-1, n + 1).map(str), st.sampled_from(["x", "1.5", "0x1"]))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)))
+        mutation = draw(st.sampled_from(DIMACS_MUTATIONS))
+        if mutation == "drop p":
+            lines = [line for line in lines if not line.startswith("p")]
+        elif mutation == "second p":  # the problem line again, perhaps with a smaller n
+            lines.insert(at, f"p edge {draw(st.integers(0, n))} {len(edges)}")
+        elif mutation == "wrong m":
+            m = draw(st.integers(-1, 12))
+            lines = [f"p edge {n} {m}" if line.startswith("p") else line for line in lines]
+        elif mutation == "endpoint 0 or n+1":
+            u = draw(st.sampled_from([0, n + 1]))
+            lines.insert(at, f"e {u} {draw(st.integers(1, n + 1))}")
+        elif mutation == "self-loop":
+            v = draw(st.integers(1, max(n, 1)))
+            lines.insert(at, f"e {v} {v}")
+        elif mutation == "non-integer":
+            record = draw(st.sampled_from(["e", "p edge"]))
+            lines.insert(at, f"{record} {draw(token)} {draw(token)}")
+        elif mutation == "unknown record":
+            lines.insert(at, f"{draw(st.sampled_from(['x', 'q', 'E', 'edge', 'n']))} 1 2")
+        else:
+            lines.insert(at, "c" + draw(st.text(alphabet="ep 0123456789x", max_size=8)))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
 def _commands(doc_path: str, result_path: str, problem: str, k: int) -> list[list[str]]:
     read = ["--input", doc_path]
     flags = ["--problem", problem, "--k", str(k)]
@@ -181,3 +231,34 @@ def test_every_subcommand_exits_with_a_documented_code(doc, result, problem, k):
             ):
                 code = run_command(argv)
             assert code in DOCUMENTED_EXITS, (argv, doc, result)
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    text=dimacs_texts(),
+    result=result_documents(),
+    problem=st.sampled_from(PROBLEMS),
+    k=st.integers(-2, 4),
+)
+def test_every_subcommand_reading_dimacs_exits_with_a_documented_code(
+    text, result, problem, k
+):
+    with tempfile.TemporaryDirectory() as tmp:
+        doc_path = Path(tmp) / "instance.dimacs"
+        result_path = Path(tmp) / "result.json"
+        doc_path.write_text(text)
+        result_path.write_text(json.dumps(result))
+        for argv in _commands(str(doc_path), str(result_path), problem, k):
+            if "--input" not in argv:
+                continue
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+                io.StringIO()
+            ):
+                code = run_command(argv)
+            assert code in DOCUMENTED_EXITS, (argv, text, result)

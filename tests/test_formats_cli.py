@@ -110,6 +110,9 @@ def test_parse_errors_carry_diagnostics():
         formats.parse_dimacs("p edge 3 5\ne 1 2\n")
     with pytest.raises(ParseError, match="negative"):
         formats.parse_dimacs("p edge -1 0\n")
+    # A second problem line that shrinks n under an edge already read.
+    with pytest.raises(ParseError, match="line 3: second problem line"):
+        formats.parse_dimacs("p edge 5 1\ne 4 5\np edge 3 1\n")
     with pytest.raises(ParseError):
         formats.parse_instance("")
     with pytest.raises(ParseError):

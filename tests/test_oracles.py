@@ -4,20 +4,23 @@ from pathlib import Path
 
 import pytest
 
-from rekern.decomposition import validate_tree_decomposition
+from rekern.decomposition import TreeDecomposition, validate_tree_decomposition
 from rekern.errors import SizeGuardExceeded
 from rekern.graphs import (
     Digraph,
     Graph,
     complete_graph,
+    components,
     cycle_graph,
     disjoint_union,
+    induced_subgraph,
     path_graph,
     star_graph,
 )
 from rekern.instances import KernelResult
 from rekern import oracles
 from rekern.oracles import (
+    is_clique,
     is_connected_vertex_cover,
     is_vertex_cover,
     solve_exact,
@@ -96,6 +99,104 @@ def test_treewidth_known_values_and_brute(rng):
         assert got.value == brute_treewidth(g)
         assert validate_tree_decomposition(g, got.witness) == []
         assert got.witness.width == got.value
+
+
+def _reference_validate(g: Graph, td: TreeDecomposition) -> list[str]:
+    """``validate_tree_decomposition`` with the subtree clause written as
+    one induced subgraph of the bag tree plus ``components`` per vertex."""
+    violations: list[str] = []
+    if td.tree.n == 0:
+        return ["decomposition has no bags"]
+    if td.tree.n > 1 and len(td.tree.edges) != td.tree.n - 1:
+        violations.append("bag graph is not a tree (wrong edge count)")
+    if len(components(td.tree)) != 1:
+        violations.append("bag graph is not connected")
+    if frozenset().union(*td.bags) != frozenset(g.vertices):
+        violations.append("bags do not cover every vertex")
+    for u, v in g.edges:
+        if not any(u in bag and v in bag for bag in td.bags):
+            violations.append(f"edge {(u, v)} inside no bag")
+    for v in g.vertices:
+        holding = [i for i, bag in enumerate(td.bags) if v in bag]
+        if holding and len(components(induced_subgraph(td.tree, holding)[0])) != 1:
+            violations.append(f"bags containing vertex {v} do not form a subtree")
+    return violations
+
+
+def _decomposition(bags, tree_edges) -> TreeDecomposition:
+    return TreeDecomposition(
+        Graph.from_edges(len(bags), tree_edges), tuple(frozenset(b) for b in bags)
+    )
+
+
+@pytest.mark.parametrize(
+    "g, td, violation",
+    [
+        (path_graph(3), _decomposition([], []), "decomposition has no bags"),
+        (
+            path_graph(3),
+            _decomposition([{0, 1}, {1, 2}, {1}], [(0, 1), (1, 2), (0, 2)]),
+            "bag graph is not a tree (wrong edge count)",
+        ),
+        (
+            path_graph(3),
+            _decomposition([{0, 1}, {1, 2}, {1}, set()], [(0, 1), (1, 2), (0, 2)]),
+            "bag graph is not connected",
+        ),
+        (
+            Graph.from_edges(4, [(0, 1), (1, 2)]),
+            _decomposition([{0, 1}, {1, 2}], [(0, 1)]),
+            "bags do not cover every vertex",
+        ),
+        (path_graph(3), _decomposition([{0, 1}, {2}], [(0, 1)]), "edge (1, 2) inside no bag"),
+        (
+            path_graph(3),
+            _decomposition([{0, 1}, {1, 2}, {0}], [(0, 1), (1, 2)]),
+            "bags containing vertex 0 do not form a subtree",
+        ),
+    ],
+)
+def test_each_tree_decomposition_clause_fires_alone(g, td, violation):
+    assert validate_tree_decomposition(g, td) == [violation]
+    assert _reference_validate(g, td) == [violation]
+
+
+def test_validator_verdicts_on_mutated_decompositions_match_the_reference(rng):
+    """Optimal decompositions of every atlas graph up to 5 vertices, each
+    mutated three times by dropping or adding a bag vertex, dropping a tree
+    edge or adding a bag; the verdict lists equal the reference's."""
+    from rekern.smallgraphs import all_graphs_upto
+
+    clauses = (
+        "bag graph is not a tree",
+        "bag graph is not connected",
+        "bags do not cover",
+        "edge (",
+        "bags containing vertex",
+    )
+    fired = set()
+    for g in all_graphs_upto(5):
+        td = solve_exact(PK.TREEWIDTH, g).witness
+        for _ in range(3):
+            bags = [set(bag) for bag in td.bags]
+            edges = set(td.tree.edges)
+            for _ in range(rng.randint(1, 3)):
+                op = rng.randrange(4)
+                if op == 0:
+                    rng.choice(bags).discard(rng.randrange(g.n))
+                elif op == 1:
+                    rng.choice(bags).add(rng.randrange(g.n))
+                elif op == 2 and edges:
+                    edges.discard(rng.choice(sorted(edges)))
+                elif op == 3:
+                    bags.append({rng.randrange(g.n)})
+                    if rng.random() < 0.5:
+                        edges.add((rng.randrange(len(bags) - 1), len(bags) - 1))
+            mutated = _decomposition(bags, edges)
+            verdict = validate_tree_decomposition(g, mutated)
+            assert verdict == _reference_validate(g, mutated), (g, mutated)
+            fired.update(c for c in clauses for line in verdict if line.startswith(c))
+    assert fired == set(clauses)
 
 
 def test_treewidth_outputs_match_the_pinned_fill_degree_search():
@@ -202,6 +303,57 @@ def test_cvc_examples_and_relation_to_vc(rng):
         if len(components(g)) == 1:
             assert cvc.value is not None and cvc.value >= vc.value
             assert is_connected_vertex_cover(g, cvc.witness)
+
+
+def _first_optimum(g: Graph, sizes, accept):
+    """The first vertex subset that ``accept`` takes, over ``sizes`` in order
+    and ``itertools.combinations`` within a size: the lexicographically
+    first optimum, as ``(size, set)``, or ``(None, None)``."""
+    for size in sizes:
+        for subset in combinations(range(g.n), size):
+            if accept(subset):
+                return size, frozenset(subset)
+    return None, None
+
+
+def _connected_within(g: Graph, vertices) -> bool:
+    sub, _ = induced_subgraph(g, vertices)
+    return len(components(sub)) <= 1
+
+
+def _brute_force_optima(g: Graph):
+    up, down = range(g.n + 1), range(g.n, -1, -1)
+    return {
+        PK.VERTEX_COVER: _first_optimum(g, up, lambda s: is_vertex_cover(g, s)),
+        PK.CLIQUE: _first_optimum(g, down, lambda s: is_clique(g, s)),
+        PK.CONNECTED_VERTEX_COVER: _first_optimum(
+            g, up, lambda s: is_vertex_cover(g, s) and _connected_within(g, s)
+        ),
+    }
+
+
+def test_cover_clique_and_cvc_witnesses_are_the_first_brute_force_optimum():
+    """Every atlas graph up to 7 vertices (1,252 graphs, connected or not)."""
+    from rekern.smallgraphs import all_graphs_upto
+
+    checked = 0
+    for g in all_graphs_upto(7):
+        for kind, expected in _brute_force_optima(g).items():
+            got = solve_exact(kind, g)
+            assert (got.value, got.witness) == expected, (kind, g)
+        checked += 1
+    assert checked == 1252
+
+
+def test_cover_and_clique_witnesses_on_larger_random_graphs(rng):
+    from rekern.smallgraphs import random_graph
+
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(8, 12), rng.choice([0.25, 0.5, 0.75]))
+        optima = _brute_force_optima(g)
+        for kind in (PK.VERTEX_COVER, PK.CLIQUE):
+            got = solve_exact(kind, g)
+            assert (got.value, got.witness) == optima[kind], (kind, g)
 
 
 def test_leaf_out_tree_star_and_path():
