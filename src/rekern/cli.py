@@ -9,6 +9,7 @@ standard output; identical inputs produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import random
 import sys
@@ -94,6 +95,23 @@ def _reopt_instance_from_doc(
 
 
 def _cmd_kernelize(args: argparse.Namespace) -> int:
+    """Parse, kernelize and emit with the cyclic garbage collector paused.
+
+    This path builds only acyclic values (tuples, frozensets, frozen
+    dataclasses), which reference counting frees, so a collection here
+    only re-walks large live graphs.  The collector is switched back on
+    afterwards if it was on before.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _kernelize(args)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _kernelize(args: argparse.Namespace) -> int:
     doc = _load_instance(args.input)
     if args.mode == "classic3k":
         if doc.graph is None or doc.k is None:

@@ -51,11 +51,17 @@ def validate_crown(g: Graph, cd: CrownDecomposition) -> list[str]:
         violations.append("crown, head, and rest are not disjoint")
     if (c | h | r) != set(g.vertices):
         violations.append("crown, head, and rest do not cover every vertex")
-    for u, v in g.edges:
-        if u in c and v in c:
-            violations.append(f"crown is not independent: edge {(u, v)}")
-        if (u in c and v in r) or (u in r and v in c):
-            violations.append(f"edge between crown and rest: {(u, v)}")
+    # Only edges at the crown can break the next two clauses; the edge
+    # scan below runs only when one does, to list them in edge order.
+    adjacency, crown_or_rest = g.adjacency, c | r
+    if not all(
+        adjacency[x].isdisjoint(crown_or_rest) for x in c if 0 <= x < g.n
+    ):
+        for u, v in g.edges:
+            if u in c and v in c:
+                violations.append(f"crown is not independent: edge {(u, v)}")
+            if (u in c and v in r) or (u in r and v in c):
+                violations.append(f"edge between crown and rest: {(u, v)}")
 
     matched_heads: set[int] = set()
     for u, v in cd.matching.pairs:

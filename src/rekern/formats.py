@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Any, Iterator
 
 from .decomposition import TreeDecomposition
@@ -103,17 +104,70 @@ def _witness_from_json(data: Any, problem: ProblemKind | None) -> Any:
     return frozenset(int(x) for x in data)
 
 
-def _graph_to_json(g: Graph) -> dict[str, Any]:
-    payload: dict[str, Any] = {"n": g.n, "edges": g.sorted_edges()}
-    if g.labels is not None:
-        payload["labels"] = list(g.labels)
-    return payload
+def _json_int(value: Any, what: str) -> int:
+    """A JSON integer; ``bool`` is an ``int`` subclass, so it fails here."""
+    if type(value) is not int:
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def _graph_from_json(data: dict[str, Any]) -> Graph:
-    """``Graph`` itself rejects self-loops and out-of-range edges."""
-    edges = [(int(u), int(v)) for u, v in data.get("edges", [])]
-    return Graph.from_edges(int(data["n"]), edges, labels=data.get("labels"))
+    """One normalized tuple per edge; ``Graph`` itself rejects self-loops
+    and out-of-range edges."""
+    n = _json_int(data["n"], "n")
+    edges = []
+    for u, v in data.get("edges", []):
+        if type(u) is not int or type(v) is not int:
+            raise ParseError(f"edge endpoints must be integers, got {[u, v]!r}")
+        edges.append((u, v) if u < v else (v, u))
+    labels = data.get("labels")
+    if labels is not None:
+        _require(
+            type(labels) is list and all(type(x) is str for x in labels),
+            "labels must be a list of strings",
+        )
+        labels = tuple(labels)
+    return Graph(n, frozenset(edges), labels)
+
+
+def _list_text(items: list[str], pad: str) -> str:
+    """A JSON list of already written items, as ``indent=2`` lays it out
+    on a line indented by ``pad``."""
+    if not items:
+        return "[]"
+    inner = pad + "  "
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+
+
+def _graph_text(g: Graph, pad: str) -> str:
+    """The JSON object ``{"edges", "labels", "n"}`` of ``g``, edges sorted,
+    as ``json.dumps(..., sort_keys=True, indent=2)`` writes it on a line
+    indented by ``pad``, but without the pure-Python encoder that
+    ``indent`` selects: one string per edge and per label."""
+    keys = pad + "  "
+    items = keys + "  "
+    ends = items + "  "
+    edges = [f"[\n{ends}{u},\n{ends}{v}\n{items}]" for u, v in g.sorted_edges()]
+    fields = [f'"edges": {_list_text(edges, keys)}']
+    if g.labels is not None:
+        labels = [encode_basestring_ascii(label) for label in g.labels]
+        fields.append(f'"labels": {_list_text(labels, keys)}')
+    fields.append(f'"n": {g.n}')
+    return "{\n" + keys + (",\n" + keys).join(fields) + "\n" + pad + "}"
+
+
+def _document_text(payload: dict[str, Any]) -> str:
+    """``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``, with each
+    ``Graph`` value written by ``_graph_text``."""
+    fields = []
+    for key in sorted(payload):
+        value = payload[key]
+        if isinstance(value, Graph):
+            text = _graph_text(value, "  ")
+        else:
+            text = json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
+        fields.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(fields) + "\n}\n"
 
 
 def emit_instance(doc: InstanceDocument) -> str:
@@ -125,7 +179,7 @@ def emit_instance(doc: InstanceDocument) -> str:
     if doc.problem is not None:
         payload["problem"] = doc.problem.value
     if doc.graph is not None:
-        payload["graph"] = _graph_to_json(doc.graph)
+        payload["graph"] = doc.graph
     if doc.digraph is not None:
         payload["digraph"] = {"n": doc.digraph.n, "arcs": sorted(doc.digraph.arcs)}
     if doc.set_cover is not None:
@@ -144,7 +198,7 @@ def emit_instance(doc: InstanceDocument) -> str:
         payload["modification"] = _modification_to_json(doc.modification)
     if doc.notes:
         payload["notes"] = doc.notes
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return _document_text(payload)
 
 
 def _require(cond: bool, message: str) -> None:
@@ -185,9 +239,9 @@ def _parse_json_instance(data: dict[str, Any]) -> InstanceDocument:
             int(sd["k"]),
         )
     if "k" in data:
-        doc.k = int(data["k"])
+        doc.k = _json_int(data["k"], "k")
     if "k_modified" in data:
-        doc.k_modified = int(data["k_modified"])
+        doc.k_modified = _json_int(data["k_modified"], "k_modified")
     if "witness" in data:
         doc.witness = _witness_from_json(data["witness"], doc.problem)
     if "modification" in data:
@@ -275,13 +329,13 @@ def emit_result(result: KernelResult, notes: dict[str, Any] | None = None) -> st
         payload["answer"] = result.answer
     else:
         payload["kind"] = "reduced"
-        payload["graph"] = _graph_to_json(result.graph)
+        payload["graph"] = result.graph
         payload["parameter"] = result.parameter
         if result.size_bound_claim is not None:
             payload["size_bound_claim"] = result.size_bound_claim
     if notes:
         payload["notes"] = notes
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return _document_text(payload)
 
 
 @as_parse_error("result document")

@@ -3,6 +3,14 @@
 Vertices are dense 0-based integers.  Graphs are immutable: every
 operation returns a fresh graph, so an original and a locally modified
 instance can be held side by side.
+
+A graph builds its adjacency lazily, from its edges, on first use.  The
+one exception is an edge addition: ``apply_modification`` derives the
+new graph's adjacency from the parent graph's, sharing every neighbour
+set except the two endpoints'.  Every other operation (edge or vertex
+deletion, vertex addition, ``induced_subgraph``, ``disjoint_union``)
+re-indexes or filters the parent's edges and leaves the adjacency of
+its result to be built when needed.
 """
 
 from __future__ import annotations
@@ -35,16 +43,17 @@ class Graph:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.n < 0:
+        n = self.n
+        if n < 0:
             raise ValueError("vertex count must be non-negative")
         for u, v in self.edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (u < v):
-                raise ValueError(f"edge {(u, v)} is not normalized")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge {(u, v)} out of range for n={self.n}")
-        if self.labels is not None and len(self.labels) != self.n:
+            if not (0 <= u < v < n):
+                if u == v:
+                    raise ValueError(f"self-loop at vertex {u}")
+                if not (u < v):
+                    raise ValueError(f"edge {(u, v)} is not normalized")
+                raise ValueError(f"edge {(u, v)} out of range for n={n}")
+        if self.labels is not None and len(self.labels) != n:
             raise ValueError("labels must cover every vertex exactly once")
 
     @classmethod
@@ -59,11 +68,13 @@ class Graph:
 
     @cached_property
     def adjacency(self) -> tuple[frozenset[int], ...]:
+        """Neighbour set of each vertex, built from ``edges`` on first use
+        (or derived from the parent graph by an edge addition)."""
         adj: list[set[int]] = [set() for _ in range(self.n)]
         for u, v in self.edges:
             adj[u].add(v)
             adj[v].add(u)
-        return tuple(frozenset(s) for s in adj)
+        return tuple(map(frozenset, adj))
 
     @property
     def vertices(self) -> range:
@@ -177,11 +188,21 @@ def apply_modification(g: Graph, m: LocalModification) -> Graph:
     """Return the modified graph; ``g`` itself is untouched.
 
     Vertex addition appends index ``g.n``; vertex deletion re-indexes the
-    remaining vertices densely while preserving their labels.
+    remaining vertices densely while preserving their labels.  An edge
+    addition derives the new graph's adjacency from ``g``'s; the other
+    modifications leave it to be built from the new edges.
     """
     check_modification(g, m)
     if isinstance(m, EdgeAdd):
-        return Graph(g.n, g.edges | {normalize_edge(m.u, m.v)}, g.labels)
+        u, v = normalize_edge(m.u, m.v)
+        added = Graph(g.n, g.edges | {(u, v)}, g.labels)
+        adjacency = list(g.adjacency)
+        adjacency[u] |= {v}
+        adjacency[v] |= {u}
+        # ``adjacency`` is a cached property: storing the derived value
+        # where it caches is what keeps it from being rebuilt.
+        added.__dict__["adjacency"] = tuple(adjacency)
+        return added
     if isinstance(m, EdgeDel):
         return Graph(g.n, g.edges - {normalize_edge(m.u, m.v)}, g.labels)
     if isinstance(m, VertexAdd):
@@ -245,13 +266,14 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     bijection onto the chosen vertex set.
     """
     index_map = tuple(sorted(set(vertices)))
-    for v in index_map:
-        g._check_vertex(v)
+    if index_map and not (0 <= index_map[0] and index_map[-1] < g.n):
+        for v in index_map:
+            g._check_vertex(v)
     back = {old: new for new, old in enumerate(index_map)}
+    # Re-indexing keeps the order of the vertices, so every edge stays
+    # normalized.
     edges = frozenset(
-        normalize_edge(back[u], back[v])
-        for u, v in g.edges
-        if u in back and v in back
+        (back[u], back[v]) for u, v in g.edges if u in back and v in back
     )
     labels = None
     if g.labels is not None:

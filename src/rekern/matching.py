@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import AbstractSet, Iterable, Mapping
 
 from .errors import SidesOverlap, TargetUnmatched
 from .graphs import Edge, Graph, normalize_edge
@@ -56,7 +56,7 @@ class Matching:
         return partners
 
 
-def greedy_matching(adjacency: Mapping[int, Iterable[int]]) -> Matching:
+def greedy_matching(adjacency: Mapping[int, AbstractSet[int]]) -> Matching:
     """Maximal matching: each free vertex, in ascending order, takes its
     smallest free neighbour.
 
@@ -67,11 +67,11 @@ def greedy_matching(adjacency: Mapping[int, Iterable[int]]) -> Matching:
     for v in sorted(adjacency):
         if v in used:
             continue
-        for w in sorted(adjacency[v]):
-            if w not in used:
-                used.update((v, w))
-                pairs.append(normalize_edge(v, w))
-                break
+        free = adjacency[v] - used
+        if free:
+            w = min(free)
+            used.update((v, w))
+            pairs.append(normalize_edge(v, w))
     return Matching(frozenset(pairs))
 
 
@@ -254,7 +254,8 @@ def alternating_reachability(
     back over matching edges, so for a maximum matching the reached
     vertices on the opposite side are all matched and the reached vertices
     on the start side are exactly their partners.  The starting unmatched
-    vertices themselves are not reported.
+    vertices themselves are not reported.  The result is a closure, so the
+    search visits vertices in no particular order.
     """
     a_set, b_set = frozenset(side_a), frozenset(side_b)
     _check_sides(g, a_set, b_set)
@@ -266,21 +267,18 @@ def alternating_reachability(
     else:
         raise ValueError("start_side must be 'A' or 'B'")
 
-    frontier = deque(sorted(v for v in near if v not in partners))
+    adjacency = g.adjacency
+    # A partner is matched, so it is never one of the unmatched starts.
+    frontier = [v for v in near if v not in partners]
     seen_far: set[int] = set()
     seen_near: set[int] = set()
-    started = set(frontier)
     while frontier:
-        x = frontier.popleft()
-        for y in sorted(g.adjacency[x] & far):
-            if y in seen_far:
-                continue
+        for y in (adjacency[frontier.pop()] & far) - seen_far:
             seen_far.add(y)
             partner = partners.get(y)
             if partner is not None and partner in near and partner not in seen_near:
-                if partner not in started:
-                    seen_near.add(partner)
-                    frontier.append(partner)
+                seen_near.add(partner)
+                frontier.append(partner)
     reached_a = frozenset(seen_far if start_side == "B" else seen_near)
     reached_b = frozenset(seen_near if start_side == "B" else seen_far)
     return reached_a, reached_b

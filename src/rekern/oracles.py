@@ -103,10 +103,13 @@ def _lex_first(a: int, b: int) -> bool:
 
 
 def is_vertex_cover(g: Graph, candidate: Iterable[int]) -> bool:
+    """Whether ``candidate`` is a vertex set of ``g`` that covers every
+    edge: each vertex outside it has all its neighbours inside."""
     cover = set(candidate)
     if cover and not (0 <= min(cover) and max(cover) < g.n):
         return False
-    return all(u in cover or v in cover for u, v in g.edges)
+    adjacency = g.adjacency
+    return all(adjacency[v] <= cover for v in range(g.n) if v not in cover)
 
 
 def _solve_vertex_cover(g: Graph) -> ExactSolution:

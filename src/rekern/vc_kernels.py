@@ -10,6 +10,7 @@ after the new edge lands inside the independent rest ``B``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .crown import (
     CrownDecomposition,
@@ -57,11 +58,14 @@ def build_reopt_partition(g: Graph, cover_a: frozenset[int] | set[int]) -> Reopt
 
 def _strip_isolated(g: Graph) -> tuple[Graph, dict[int, int]]:
     """``g`` without its isolated vertices, and the map from old to new
-    indices; ``g`` itself with the identity map when none is isolated."""
-    adjacency = g.adjacency
-    keep = [v for v in g.vertices if adjacency[v]]
+    indices; ``g`` itself with the identity map when none is isolated.
+
+    The kept vertices are the edges' endpoints, so a kernel's residual
+    graph is stripped without building its adjacency.
+    """
+    keep = set(chain.from_iterable(g.edges))
     if len(keep) == g.n:
-        return g, {v: v for v in keep}
+        return g, {v: v for v in range(g.n)}
     sub, idx = induced_subgraph(g, keep)
     return sub, {old: new for new, old in enumerate(idx)}
 
@@ -129,7 +133,11 @@ def _finish(
     if not crown:
         if head:
             raise InternalInvariantBroken("empty crown with non-empty head")
-        residual, parameter = modified, budget
+        # A fresh value, so the kernel holds no adjacency: the one that
+        # ``modified`` carries may share its neighbour sets with the
+        # graph it was derived from.
+        residual = Graph(modified.n, modified.edges, modified.labels)
+        parameter = budget
     else:
         cd = CrownDecomposition(crown, head, rest, saturating)
         try:
@@ -227,7 +235,12 @@ def reopt_vc_kernelize_2k_report(inst: ReoptInstance) -> ReoptVcReport:
     part = build_reopt_partition(stripped, live_cover)
     branch = ""
 
-    for _ in range(2 * stripped.n + 4):
+    # Three rounds always suffice.  Case 4 exposes x; the other endpoint
+    # stays matched, so the next round is case 2, case 3 or
+    # case5-rematch-u.  case5-rematch-u flips a path that avoids the
+    # unmatched blocker, so both ends are then unmatched and the next
+    # round is case 2.  case5-rematch-v leads the same way as case 4.
+    for _ in range(3):
         _check_partition_bounds(stripped, part, k_bound)
         ru, rv = _region(part, su), _region(part, sv)
         regions = {ru, rv}

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rekern import formats
 from rekern.cli import run_command
@@ -125,6 +127,60 @@ def test_result_round_trip():
     assert back == r
     r = KernelResult.decided(False)
     assert formats.parse_result(formats.emit_result(r)) == r
+
+
+_label_text = st.text(st.sampled_from('a"\\/\n\té€漢😀') | st.characters(), max_size=6)
+_note_values = st.one_of(
+    st.none(), st.booleans(), st.integers(), _label_text, st.lists(_label_text, max_size=3)
+)
+
+
+@st.composite
+def _kernel_results(draw):
+    """Decided results, and reduced results with 0 to 50 edges, labels or
+    none, with and without a size bound claim."""
+    if draw(st.booleans()):
+        return KernelResult.decided(draw(st.booleans()))
+    n = draw(st.integers(0, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=50, unique=True)) if pairs else []
+    labels = draw(st.none() | st.lists(_label_text, min_size=n, max_size=n))
+    claim = draw(st.none() | st.integers(n, n + 5))
+    return KernelResult.reduced(
+        Graph.from_edges(n, edges, labels), draw(st.integers(0, 60)), claim
+    )
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    result=_kernel_results(),
+    notes=st.none() | st.dictionaries(_label_text, _note_values, max_size=3),
+)
+def test_emit_result_is_json_dumps_byte_for_byte(result, notes):
+    """Both emitters write graphs without ``json``'s indenting encoder, and
+    must give exactly its bytes; the instance document shares the writer."""
+    payload = {"format": formats.RESULT_FORMAT, "version": formats.FORMAT_VERSION}
+    if notes:
+        payload["notes"] = notes
+    if result.is_decided:
+        payload.update(kind="decided", answer=result.answer)
+    else:
+        graph = {"n": result.graph.n, "edges": sorted(result.graph.edges)}
+        if result.graph.labels is not None:
+            graph["labels"] = list(result.graph.labels)
+        payload.update(kind="reduced", graph=graph, parameter=result.parameter)
+        if result.size_bound_claim is not None:
+            payload["size_bound_claim"] = result.size_bound_claim
+    expected = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    assert formats.emit_result(result, notes) == expected
+    if result.is_reduced:
+        doc = formats.InstanceDocument(graph=result.graph, k=result.parameter)
+        doc.notes = notes or {}
+        payload.update(format=formats.FORMAT_NAME, k=result.parameter)
+        for key in ("kind", "parameter", "size_bound_claim"):
+            payload.pop(key, None)
+        expected = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        assert formats.emit_instance(doc) == expected
 
 
 # --- CLI ---------------------------------------------------------------
@@ -334,6 +390,12 @@ def _malformed_reopt_documents():
         "self-loop-edge": doc(graph={"n": 3, "edges": [[0, 1], [1, 1]]}),
         "out-of-range-arc": doc(digraph={"n": 3, "arcs": [[0, 3]]}),
         "self-loop-arc": doc(digraph={"n": 3, "arcs": [[2, 2]]}),
+        "float-endpoint": doc(graph={"n": 3, "edges": [[0, 1.7]]}),
+        "float-n": doc(graph={"n": 3.5, "edges": [[0, 1]]}),
+        "string-labels": doc(graph={"n": 3, "edges": [[0, 1]], "labels": "abc"}),
+        "integer-labels": doc(graph={"n": 3, "edges": [[0, 1]], "labels": [1, 2, 3]}),
+        "boolean-k": doc(k=True),
+        "boolean-k-modified": doc(k_modified=True),
     }
 
 

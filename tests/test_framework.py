@@ -212,10 +212,11 @@ def _sweep_modifications(g: Graph, allowed):
         yield from (VertexDel(v) for v in g.vertices)
 
 
-def test_dispatch_agrees_with_oracle_on_every_small_graph():
-    """Every atlas graph on 1-5 vertices, every builtin spec, every supported
-    modification, every k in 0..n+1 and every allowed k', with the oracle's
-    witness exactly when the original is a yes at k."""
+def _dispatch_sweep(max_n: int) -> int:
+    """Every atlas graph on 1..max_n vertices, every builtin spec, every
+    supported modification, every k in 0..n+1 and every allowed k', with the
+    oracle's witness exactly when the original is a yes at k; returns the
+    number of dispatches, each checked against the oracle."""
     from rekern.framework import _SUPPORTED
     from rekern.problems import Direction
     from rekern.smallgraphs import all_graphs_upto
@@ -224,7 +225,7 @@ def test_dispatch_agrees_with_oracle_on_every_small_graph():
     for kind in (PK.IVST, PK.CLIQUE, PK.LONGEST_PATH, PK.TREEWIDTH):
         spec, ck = builtin_spec(kind), exact_ck(kind)
         allowed = _SUPPORTED[(spec.compositionality, spec.monotonicity)]
-        for g in all_graphs_upto(5):
+        for g in all_graphs_upto(max_n):
             solution = solve_exact(kind, g)
             for k in range(g.n + 2):
                 witness = solution.witness if membership(kind, g, k) else None
@@ -242,7 +243,16 @@ def test_dispatch_agrees_with_oracle_on_every_small_graph():
                             kind, g, k, k_modified, m, witness
                         )
                         dispatches += 1
-    assert dispatches == 80_118
+    return dispatches
+
+
+def test_dispatch_agrees_with_oracle_on_every_small_graph():
+    assert _dispatch_sweep(5) == 80_118
+
+
+@pytest.mark.slow
+def test_dispatch_agrees_with_oracle_on_every_graph_up_to_six_vertices():
+    assert _dispatch_sweep(6) == 514_422
 
 
 def test_dispatch_on_a_deletion_that_leaves_no_vertex():
