@@ -13,6 +13,7 @@ import gc
 import json
 import random
 import sys
+from functools import lru_cache
 from pathlib import Path
 from typing import Any
 
@@ -356,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     gadget.add_argument(
         "--family",
         nargs="*",
-        default=["[1]", "[2]", "[1, 2]"],
+        default=("[1]", "[2]", "[1, 2]"),
         help="family members as JSON lists, e.g. --family '[1]' '[1,2]'",
     )
     gadget.add_argument("--k", type=int, default=1)
@@ -387,10 +388,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process: each ``parse_args`` call fills a fresh
+    namespace, and every default is immutable, so nothing carries over from
+    one command to the next."""
+    return build_parser()
+
+
 def run_command(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:

@@ -92,16 +92,17 @@ def _witness_from_json(data: Any, problem: ProblemKind | None) -> Any:
         return None
     if problem is ProblemKind.TREEWIDTH:
         _require(isinstance(data, dict), "treewidth witness must be {bags, tree}")
-        bags = tuple(frozenset(int(x) for x in bag) for bag in data["bags"])
-        tree = Graph.from_edges(len(bags), [(int(a), int(b)) for a, b in data["tree"]])
+        bags = tuple(
+            frozenset(_json_ints(bag, "witness bag"))
+            for bag in _json_list(data["bags"], "witness bags")
+        )
+        tree = Graph.from_edges(len(bags), _json_pairs(data["tree"], "witness tree"))
         return TreeDecomposition(tree, bags)
-    if problem is ProblemKind.LONGEST_PATH:
-        return tuple(int(x) for x in data)
+    if problem in (ProblemKind.LONGEST_PATH, ProblemKind.SET_COVER):
+        return tuple(_json_ints(data, "witness"))
     if problem in (ProblemKind.IVST, ProblemKind.LEAF_OUT_TREE):
-        return frozenset((int(u), int(v)) for u, v in data)
-    if problem is ProblemKind.SET_COVER:
-        return tuple(int(x) for x in data)
-    return frozenset(int(x) for x in data)
+        return frozenset(_json_pairs(data, "witness"))
+    return frozenset(_json_ints(data, "witness"))
 
 
 def _json_int(value: Any, what: str) -> int:
@@ -109,6 +110,25 @@ def _json_int(value: Any, what: str) -> int:
     if type(value) is not int:
         raise ParseError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def _json_list(value: Any, what: str) -> list[Any]:
+    if type(value) is not list:
+        raise ParseError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _json_ints(value: Any, what: str) -> list[int]:
+    return [_json_int(x, f"{what} item") for x in _json_list(value, what)]
+
+
+def _json_pairs(value: Any, what: str) -> list[tuple[int, int]]:
+    pairs = []
+    for pair in _json_list(value, what):
+        ends = _json_ints(pair, f"{what} pair")
+        _require(len(ends) == 2, f"{what} pair must have two items, got {pair!r}")
+        pairs.append((ends[0], ends[1]))
+    return pairs
 
 
 def _graph_from_json(data: dict[str, Any]) -> Graph:

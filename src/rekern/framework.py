@@ -75,23 +75,27 @@ def _spec_for(
     )
 
 
+_BUILTIN_SPECS = {
+    kind: _spec_for(kind, mono, comp)
+    for kind, mono, comp in (
+        (ProblemKind.IVST, Monotonicity.COMONOTONE, Compositionality.OR),
+        (ProblemKind.CLIQUE, Monotonicity.COMONOTONE, Compositionality.OR),
+        (ProblemKind.LONGEST_PATH, Monotonicity.MONOTONE, Compositionality.OR),
+        (ProblemKind.TREEWIDTH, Monotonicity.MONOTONE, Compositionality.AND),
+    )
+}
+
+
 def builtin_spec(kind: ProblemKind) -> ProblemSpec:
-    """Prebuilt specs for the compositional problems the toolkit ships.
+    """The shared prebuilt spec of a compositional problem the toolkit ships.
 
     Longest path is registered under the deletion (monotone) dispatch
     rule; its yes shortcut is taken only when the witness path names
     neither the deleted vertex nor both ends of the deleted edge.
     """
-    table = {
-        ProblemKind.IVST: (Monotonicity.COMONOTONE, Compositionality.OR),
-        ProblemKind.CLIQUE: (Monotonicity.COMONOTONE, Compositionality.OR),
-        ProblemKind.LONGEST_PATH: (Monotonicity.MONOTONE, Compositionality.OR),
-        ProblemKind.TREEWIDTH: (Monotonicity.MONOTONE, Compositionality.AND),
-    }
-    if kind not in table:
+    if kind not in _BUILTIN_SPECS:
         raise UnsupportedCombination(f"no compositional spec for {kind}")
-    mono, comp = table[kind]
-    return _spec_for(kind, mono, comp)
+    return _BUILTIN_SPECS[kind]
 
 
 @dataclass(frozen=True)

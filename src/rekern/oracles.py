@@ -18,12 +18,12 @@ answers n - 2 outright on a component with a Hamiltonian path, the most
 any subtree can reach, and its subset DP attaches a root's children in
 one canonical order instead of every order.  Treewidth reads each fill
 degree from a table of Q(S, v), the vertices outside S that v reaches
-through S.  ``solve_exact`` runs one component loop for all five and
-memoizes each component on the unlabelled ``(n, edges)`` in a bounded
-LRU cache (``_solve_component``), because kernel checks and
-compositional dispatch ask about the same small graphs again and again.
-Size guards run before every lookup, so a cached answer never bypasses a
-guard.
+through S.  ``solve_exact`` runs one component loop for all five, which
+a connected graph skips, and memoizes each component on the unlabelled
+``(n, edges)`` in a bounded LRU cache (``_solve_component``), because
+kernel checks and compositional dispatch ask about the same small graphs
+again and again.  Size guards run before every lookup, so a cached answer
+never bypasses a guard.
 """
 
 from __future__ import annotations
@@ -85,6 +85,18 @@ def _adjmask(g: Graph) -> list[int]:
         adjmask[u] |= 1 << v
         adjmask[v] |= 1 << u
     return adjmask
+
+
+def _connected(g: Graph) -> bool:
+    """Whether ``g`` has at most one component, by a search on ``_adjmask``."""
+    adjmask = _adjmask(g)
+    reach = frontier = 1 if g.n else 0
+    while frontier:
+        low = frontier & -frontier
+        new = adjmask[low.bit_length() - 1] & ~reach
+        reach |= new
+        frontier = (frontier ^ low) | new
+    return reach == (1 << g.n) - 1
 
 
 def _vertex_set(mask: int) -> frozenset[int]:
@@ -309,52 +321,59 @@ def is_path(g: Graph, candidate: Iterable[int]) -> bool:
     return all(g.has_edge(a, b) for a, b in zip(seq, seq[1:]))
 
 
-def _lp_tables(g: Graph) -> list[list[int]]:
-    """longest[mask][v]: longest extension from v with ``mask`` visited.
+def _path_ends(adjmask: list[int]) -> list[int]:
+    """ends[mask]: the vertices at which a path visiting exactly ``mask``
+    ends (Held and Karp, 1962, as bitsets).  A path grows by a vertex next
+    to one of its ends, into a larger mask, so masks run in ascending order."""
+    ends = [0] * (1 << len(adjmask))
+    for v in range(len(adjmask)):
+        ends[1 << v] = 1 << v
+    for mask, last in enumerate(ends):  # reads each entry once it is final
+        reach = 0
+        while last:
+            low = last & -last
+            last ^= low
+            reach |= adjmask[low.bit_length() - 1]
+        reach &= ~mask
+        while reach:
+            low = reach & -reach
+            reach ^= low
+            ends[mask | low] |= low
+    return ends
 
-    Each entry reads strict supermasks only, which are numerically larger,
-    so masks run in descending order.
-    """
-    n = g.n
-    adjmask = _adjmask(g)
-    table = [[0] * n for _ in range(1 << n)]
-    for mask in range((1 << n) - 1, -1, -1):
-        row = table[mask]
-        for v in range(n):
-            if not (mask >> v) & 1:
-                continue
-            free = adjmask[v] & ~mask
-            best = 0
-            while free:
-                low = free & -free
-                free ^= low
-                ext = 1 + table[mask | low][low.bit_length() - 1]
-                if ext > best:
-                    best = ext
-            row[v] = best
-    return table
+
+def _first_longest_path(adjmask: list[int], ends: list[int]) -> tuple[int, ...]:
+    """The longest path with the lowest start, then at each step the lowest
+    neighbour that starts a path of the remaining length outside the
+    visited set.  Paths reverse, so one starts at w on S iff w is in
+    ends[S]; each step reads the masks of one size, bucketed once."""
+    by_size: dict[int, list[int]] = {}
+    for mask, last in enumerate(ends):
+        if last:
+            by_size.setdefault(mask.bit_count(), []).append(mask)
+    path: list[int] = []
+    visited, allowed = 0, -1
+    for _, masks in sorted(by_size.items(), reverse=True):
+        starts = 0
+        for mask in masks:
+            if not mask & visited:
+                starts |= ends[mask]
+        starts &= allowed
+        if not starts:
+            raise AssertionError("path reconstruction failed")
+        low = starts & -starts
+        path.append(low.bit_length() - 1)
+        visited |= low
+        allowed = adjmask[path[-1]]
+    return tuple(path)
 
 
 def _solve_longest_path(g: Graph) -> ExactSolution:
     if g.n == 0:
         return ExactSolution(0, ())
-    table = _lp_tables(g)
-    value = max(table[1 << v][v] for v in g.vertices)
-    start = min(v for v in g.vertices if table[1 << v][v] == value)
-    path = [start]
-    mask = 1 << start
-    remaining = value
-    while remaining:
-        v = path[-1]
-        for w in sorted(g.adjacency[v]):
-            if not (mask >> w) & 1 and 1 + table[mask | (1 << w)][w] == remaining:
-                path.append(w)
-                mask |= 1 << w
-                remaining -= 1
-                break
-        else:
-            raise AssertionError("path reconstruction failed")
-    return ExactSolution(value, tuple(path))
+    adjmask = _adjmask(g)
+    path = _first_longest_path(adjmask, _path_ends(adjmask))
+    return ExactSolution(len(path) - 1, path)
 
 
 # --- internal vertex subtree ------------------------------------------------
@@ -385,20 +404,21 @@ def _solve_ivst(g: Graph) -> ExactSolution:
 
     Every tree with at least two vertices has at least two leaves, so no
     subtree of a graph on n >= 3 vertices has more than n - 2 internal
-    vertices, and a Hamiltonian path has exactly n - 2.  The longest-path
-    DP finds such a path when there is one; only graphs without one reach
-    the subset DP.
+    vertices, and a Hamiltonian path has exactly n - 2.  The endpoint-set
+    table has one when its full-mask entry is not empty; only graphs
+    without one reach the subset DP.
     """
     n = g.n
     if n < 3:
         return ExactSolution(0, frozenset())
-    longest = _solve_longest_path(g)
-    if longest.value == n - 1:
-        path = longest.witness
-        return ExactSolution(
-            n - 2, frozenset(normalize_edge(a, b) for a, b in zip(path, path[1:]))
-        )
-    return _ivst_subset_dp(g)
+    adjmask = _adjmask(g)
+    ends = _path_ends(adjmask)
+    if not ends[-1]:
+        return _ivst_subset_dp(g)
+    path = _first_longest_path(adjmask, ends)
+    return ExactSolution(
+        n - 2, frozenset(normalize_edge(a, b) for a, b in zip(path, path[1:]))
+    )
 
 
 def _ivst_subset_dp(g: Graph) -> ExactSolution:
@@ -764,13 +784,14 @@ def solve_exact(
 
     if kind not in _COMPONENT_SOLVERS:
         raise UnsupportedProblem(f"no exact solver for {kind}")
+    if _connected(g):  # one component: its own labels, so no copy to map back
+        _guard(kind, g.n, limit)
+        return _solve_component(kind, g.n, g.edges)
     parts = []
     for comp in components(g):
         sub, idx = induced_subgraph(g, comp)
         _guard(kind, sub.n, limit)
         parts.append((_solve_component(kind, sub.n, sub.edges), idx))
-    if not parts:  # the empty graph
-        return _solve_component(kind, 0, frozenset())
 
     if kind is ProblemKind.VERTEX_COVER:  # a cover is a sum over components
         cover: frozenset[int] = frozenset()

@@ -236,6 +236,33 @@ def test_cli_gadget_and_solve_and_verify(tmp_path, capsys):
     assert code == 0 and json.loads(out)["valid"] is True
 
 
+def test_cli_commands_in_a_row_keep_their_own_defaults(capsys):
+    """The process parses every command with one parser; a command that
+    sets options leaves the next one with the defaults of a fresh parser,
+    ``gadget``'s ``--family`` list included."""
+    from rekern import cli
+
+    code, default = run_cli(capsys, "gadget", "setcover-cvc")
+    assert code == 0
+    code, custom = run_cli(
+        capsys, "gadget", "setcover-cvc", "--universe", "3", "--k", "2",
+        "--family", "[1, 2]", "[3]", "[2, 3]",
+    )
+    assert code == 0 and custom != default
+    code, again = run_cli(capsys, "gadget", "setcover-cvc")
+    assert code == 0 and again == default
+    for argv in (
+        ["gadget", "setcover-cvc"],
+        ["solve", "--problem", "clique"],
+        ["kernelize", "vc", "--mode", "reopt2k"],
+        ["corpus", "--seed", "1"],
+    ):
+        assert vars(cli._parser().parse_args(argv)) == vars(
+            cli.build_parser().parse_args(argv)
+        )
+    assert cli._parser() is cli._parser()
+
+
 def test_cli_solve_dimacs(tmp_path, capsys):
     path = tmp_path / "g.col"
     path.write_text("p edge 3 2\ne 1 2\ne 2 3\n")
@@ -396,6 +423,10 @@ def _malformed_reopt_documents():
         "integer-labels": doc(graph={"n": 3, "edges": [[0, 1]], "labels": [1, 2, 3]}),
         "boolean-k": doc(k=True),
         "boolean-k-modified": doc(k_modified=True),
+        "float-witness": doc(witness=[1.9]),
+        "boolean-witness": doc(witness=[True]),
+        "string-witness": doc(witness="0"),
+        "object-witness": doc(witness={"0": 0}),
     }
 
 
@@ -597,6 +628,64 @@ def test_cli_malformed_treewidth_witness_is_a_usage_error(witness, tmp_path, cap
     )
     code, out = run_cli(capsys, "verify", "solution", "--input", path)
     assert code == 2 and out == ""
+
+
+_PATH_GRAPH = {"graph": {"n": 3, "edges": [[0, 1], [1, 2]]}}
+_PAIR_WITNESSES = [[[0, 1], [1, 2.0]], [[0, True]], [[0, 1, 2]], [0, 1], "01"]
+_SET_WITNESSES = [[1.9], [True], "1", {"1": 1}]
+
+# problem -> (payload and k, a well-typed witness, ill-typed witnesses)
+_WITNESS_CASES = {
+    "vertex_cover": ({**_PATH_GRAPH, "k": 1}, [1], _SET_WITNESSES),
+    "connected_vertex_cover": ({**_PATH_GRAPH, "k": 1}, [1], _SET_WITNESSES),
+    "clique": ({**_PATH_GRAPH, "k": 2}, [0, 1], _SET_WITNESSES),
+    "longest_path": ({**_PATH_GRAPH, "k": 2}, [0, 1, 2], [[0, 1.0, 2], [0, True], "012"]),
+    "ivst": ({**_PATH_GRAPH, "k": 1}, [[0, 1], [1, 2]], _PAIR_WITNESSES),
+    "leaf_out_tree": (
+        {"digraph": {"n": 3, "arcs": [[0, 1], [0, 2]]}, "k": 2},
+        [[0, 1], [0, 2]],
+        _PAIR_WITNESSES,
+    ),
+    "set_cover": (
+        {"set_cover": {"universe": 2, "family": [[1], [2], [1, 2]], "k": 1}, "k": 1},
+        [2],
+        [[2.0], [True], "2"],
+    ),
+    "treewidth": (
+        {**_PATH_GRAPH, "k": 1},
+        {"bags": [[0, 1], [1, 2]], "tree": [[0, 1]]},
+        [
+            {"bags": [[0, 1.0], [1, 2]], "tree": [[0, 1]]},
+            {"bags": [[0, True], [1, 2]], "tree": [[0, 1]]},
+            {"bags": ["01", [1, 2]], "tree": [[0, 1]]},
+            {"bags": "01", "tree": []},
+            {"bags": [[0, 1], [1, 2]], "tree": [[0, 1.0]]},
+            {"bags": [[0, 1], [1, 2]], "tree": [[0, 1, 0]]},
+            {"bags": [[0, 1], [1, 2]], "tree": "01"},
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "problem, witness, code",
+    [
+        pytest.param(problem, witness, code, id=f"{problem}-{i}")
+        for problem, (_, good, bad) in _WITNESS_CASES.items()
+        for i, (witness, code) in enumerate([(good, 0)] + [(w, 2) for w in bad])
+    ],
+)
+def test_cli_verify_solution_reads_every_witness_item_as_an_integer(
+    problem, witness, code, tmp_path, capsys
+):
+    """A witness item that is not a JSON integer (a float, a boolean, a
+    string), or a witness that is not a list or a {bags, tree} object, is a
+    usage error; the same document with a well-typed witness verifies."""
+    fields, _, _ = _WITNESS_CASES[problem]
+    path = _write_document(tmp_path, problem=problem, witness=witness, **fields)
+    got, out = run_cli(capsys, "verify", "solution", "--input", path)
+    assert got == code
+    assert (json.loads(out)["valid"] is True) if code == 0 else out == ""
 
 
 def _treewidth_reopt_document(tmp_path, graph, witness):

@@ -32,6 +32,7 @@ from rekern.setcover import SetCoverInstance
 
 IVST_VALUES = Path(__file__).with_name("data") / "ivst_values.json"
 TREEWIDTH_VALUES = Path(__file__).with_name("data") / "treewidth_values.json"
+LONGEST_PATH_VALUES = Path(__file__).with_name("data") / "longest_path_values.json"
 
 
 def brute_vc(g: Graph) -> int:
@@ -280,6 +281,26 @@ def test_longest_path_known_values():
     assert solve_exact(PK.LONGEST_PATH, star_graph(4)).value == 2
 
 
+def test_longest_path_outputs_match_the_pinned_extension_table():
+    """Value and witness path equal those pinned in
+    ``tests/data/longest_path_values.json``, up to the 16-vertex guard."""
+    from rekern.smallgraphs import all_graphs_upto
+
+    data = json.loads(LONGEST_PATH_VALUES.read_text())
+    atlas = [g for g in all_graphs_upto(7) if len(components(g)) == 1]
+    assert len(atlas) == len(data["atlas"]) == 996 and len(data["random"]) == 20
+    cases = list(zip(atlas, data["atlas"]))
+    for entry in data["random"]:
+        g = Graph.from_edges(entry["n"], [tuple(e) for e in entry["edges"]])
+        assert len(components(g)) == 1 and 8 <= g.n <= 16
+        cases.append((g, entry))
+    assert max(g.n for g, _ in cases) == oracles.SIZE_GUARDS[PK.LONGEST_PATH]
+    for g, entry in cases:
+        solution = oracles._solve_longest_path(g)
+        assert solution == oracles.ExactSolution(entry["value"], tuple(entry["path"])), g
+        assert verify_solution(PK.LONGEST_PATH, g, solution.witness, entry["value"])
+
+
 def test_clique_known_values():
     assert solve_exact(PK.CLIQUE, complete_graph(5)).value == 5
     assert solve_exact(PK.CLIQUE, cycle_graph(5)).value == 2
@@ -413,19 +434,20 @@ def test_size_guards():
         solve_exact(PK.TREEWIDTH, complete_graph(11))
 
 
-@pytest.mark.parametrize(
-    "kind, raw",
-    [
-        pytest.param(kind, raw, id=kind.value)
-        for kind, raw in [
-            (PK.VERTEX_COVER, oracles._solve_vertex_cover),
-            (PK.TREEWIDTH, oracles._solve_treewidth),
-            (PK.IVST, oracles._solve_ivst),
-            (PK.LONGEST_PATH, oracles._solve_longest_path),
-            (PK.CLIQUE, oracles._solve_clique),
-        ]
-    ],
-)
+# The five component kinds, each with its raw (uncached) solver.
+RAW_SOLVERS = [
+    pytest.param(kind, raw, id=kind.value)
+    for kind, raw in [
+        (PK.VERTEX_COVER, oracles._solve_vertex_cover),
+        (PK.TREEWIDTH, oracles._solve_treewidth),
+        (PK.IVST, oracles._solve_ivst),
+        (PK.LONGEST_PATH, oracles._solve_longest_path),
+        (PK.CLIQUE, oracles._solve_clique),
+    ]
+]
+
+
+@pytest.mark.parametrize("kind, raw", RAW_SOLVERS)
 def test_component_cache_is_transparent(kind, raw):
     """On every connected atlas graph up to 7 vertices, a cold and a warm
     ``solve_exact`` both equal the raw solver, and the warm call is a hit."""
@@ -443,6 +465,53 @@ def test_component_cache_is_transparent(kind, raw):
         assert middle.misses == before.misses + 1
         assert solve_exact(kind, g) == expected
         assert oracles._solve_component.cache_info().hits == middle.hits + 1
+
+
+def _component_route(kind, raw, g: Graph):
+    """``solve_exact`` as one ``components`` + ``induced_subgraph`` copy
+    per component, each solved by the raw solver and mapped back."""
+    parts = [
+        (raw(sub), idx)
+        for sub, idx in (induced_subgraph(g, comp) for comp in components(g))
+    ]
+    if not parts:
+        return raw(g)
+    if kind is PK.VERTEX_COVER:
+        cover = frozenset(idx[v] for local, idx in parts for v in local.witness)
+        return oracles.ExactSolution(sum(local.value for local, _ in parts), cover)
+    if kind is PK.TREEWIDTH:
+        bags, tree_edges = [], []
+        for local, idx in parts:
+            offset = len(bags)
+            if offset:
+                tree_edges.append((offset - 1, offset))
+            tree_edges += [(offset + a, offset + b) for a, b in local.witness.tree.edges]
+            bags += [frozenset(idx[v] for v in bag) for bag in local.witness.bags]
+        td = TreeDecomposition(Graph.from_edges(len(bags), tree_edges), tuple(bags))
+        return oracles.ExactSolution(max(local.value for local, _ in parts), td)
+    local, idx = max(parts, key=lambda part: part[0].value)
+    if kind is PK.LONGEST_PATH:
+        witness = tuple(idx[v] for v in local.witness)
+    elif kind is PK.IVST:
+        witness = frozenset(tuple(sorted((idx[u], idx[v]))) for u, v in local.witness)
+    else:
+        witness = frozenset(idx[v] for v in local.witness)
+    return oracles.ExactSolution(local.value, witness)
+
+
+@pytest.mark.parametrize("kind, raw", RAW_SOLVERS)
+def test_bitmask_component_split_equals_the_component_route(kind, raw):
+    """On every atlas graph with up to 6 vertices (the empty and the
+    disconnected ones included), ``solve_exact`` equals the route through
+    ``components`` and ``induced_subgraph`` in value and witness."""
+    from rekern.smallgraphs import all_graphs_upto
+
+    checked = disconnected = 0
+    for g in all_graphs_upto(6, min_n=0):
+        assert solve_exact(kind, g) == _component_route(kind, raw, g), g
+        checked += 1
+        disconnected += len(components(g)) > 1
+    assert checked == 209 and disconnected == 65
 
 
 def test_verify_kernel_equivalence_examples():
