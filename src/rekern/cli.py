@@ -32,7 +32,7 @@ from .gadgets import (
     build_negative_reopt_instance,
     build_setcover_cvc,
 )
-from .graphs import EdgeAdd, Graph, apply_modification
+from .graphs import EdgeAdd, apply_modification
 from .instances import ReoptInstance
 from .matching import Matching
 from .oracles import (
@@ -41,7 +41,7 @@ from .oracles import (
     verify_kernel_equivalence,
     verify_solution,
 )
-from .problems import ProblemKind
+from .problems import PROBLEMS, ProblemKind
 from .setcover import SetCoverInstance
 from .smallgraphs import random_graph
 from .vc_kernels import reopt_vc_kernelize_2k_report, vc_kernelize_3k
@@ -65,18 +65,8 @@ def _print_json(payload: dict[str, Any]) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _problem_kind(name: str) -> ProblemKind:
-    try:
-        return ProblemKind(name)
-    except ValueError:
-        raise ParseError(f"unknown problem kind {name!r}") from None
-
-
 def _instance_payload(doc: formats.InstanceDocument, kind: ProblemKind) -> Any:
-    payload = {
-        ProblemKind.SET_COVER: doc.set_cover,
-        ProblemKind.LEAF_OUT_TREE: doc.digraph,
-    }.get(kind, doc.graph)
+    payload = getattr(doc, PROBLEMS[kind].payload)
     if payload is None:
         raise ParseError(f"document carries no instance for {kind.value}")
     return payload
@@ -154,25 +144,19 @@ def _check_witness(inst: ReoptInstance) -> None:
 
 def _cmd_reopt(args: argparse.Namespace) -> int:
     doc = _load_instance(args.input)
-    if args.problem == "ivst":
-        inst = _reopt_instance_from_doc(doc, ProblemKind.IVST)
-        _check_witness(inst)
-        result = ivst_reopt_kernelize_eplus(
-            inst, exact_component_kernelizer(ProblemKind.IVST)
-        )
-        sys.stdout.write(formats.emit_result(result, notes={"problem": "ivst"}))
-        return 0
-    if doc.problem is None:
+    problem = ProblemKind.IVST if args.problem == "ivst" else doc.problem
+    if problem is None:
         raise ParseError("generic dispatch needs the document's problem kind")
-    inst = _reopt_instance_from_doc(doc, doc.problem)
-    spec = builtin_spec(doc.problem)
-    _check_witness(inst)
-    result = compositional_reopt_kernelize(
-        inst, spec, exact_component_kernelizer(doc.problem)
-    )
-    sys.stdout.write(
-        formats.emit_result(result, notes={"problem": doc.problem.value})
-    )
+    inst = _reopt_instance_from_doc(doc, problem)
+    ck = exact_component_kernelizer(problem)
+    if args.problem == "ivst":
+        _check_witness(inst)
+        result = ivst_reopt_kernelize_eplus(inst, ck)
+    else:
+        spec = builtin_spec(problem)
+        _check_witness(inst)
+        result = compositional_reopt_kernelize(inst, spec, ck)
+    sys.stdout.write(formats.emit_result(result, notes={"problem": problem.value}))
     return 0
 
 
@@ -198,19 +182,16 @@ def _cmd_gadget(args: argparse.Namespace) -> int:
         sys.stdout.write(formats.emit_instance(doc))
         return 0
     if args.builder == "extremal":
-        kind = _problem_kind(args.problem)
-        block = build_extremal(kind, args.k)
-        if isinstance(block, Graph):
-            doc = formats.InstanceDocument(problem=kind, graph=block, k=args.k)
-        else:
-            doc = formats.InstanceDocument(problem=kind, digraph=block, k=args.k)
+        kind = formats.problem_kind(args.problem)
+        block = {PROBLEMS[kind].payload: build_extremal(kind, args.k)}
+        doc = formats.InstanceDocument(problem=kind, k=args.k, **block)
         sys.stdout.write(formats.emit_instance(doc))
         return 0
     doc_in = _load_instance(args.input)
     if doc_in.graph is None:
         raise ParseError("builder needs an input graph document")
     if args.builder == "negative":
-        kind = _problem_kind(args.problem)
+        kind = formats.problem_kind(args.problem)
         inst = build_negative_reopt_instance(
             kind, doc_in.graph, args.k, mode=args.mode
         )
@@ -229,14 +210,14 @@ def _cmd_gadget(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    kind = _problem_kind(args.problem)
+    kind = formats.problem_kind(args.problem)
     doc = _load_instance(args.input)
     instance: Any = _instance_payload(doc, kind)
     solution = solve_exact(kind, instance, limit=args.limit)
     payload: dict[str, Any] = {
         "problem": kind.value,
         "value": solution.value,
-        "witness": formats._witness_to_json(solution.witness),
+        "witness": formats._witness_to_json(solution.witness, kind),
     }
     if doc.k is not None:
         payload["k"] = doc.k
@@ -246,8 +227,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    doc = _load_instance(args.input)
     if args.what == "crown":
-        doc = _load_instance(args.input)
         if doc.graph is None:
             raise ParseError("crown verification needs a graph")
         crown_data = doc.notes.get("crown")
@@ -255,16 +236,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             raise ParseError("document notes must carry a 'crown' object")
         with formats.as_parse_error("crown notes"):
             cd = CrownDecomposition.of(
-                (int(x) for x in crown_data["C"]),
-                (int(x) for x in crown_data["H"]),
-                (int(x) for x in crown_data["R"]),
-                Matching.of((int(u), int(v)) for u, v in crown_data["M"]),
+                formats._json_ints(crown_data["C"], "crown C"),
+                formats._json_ints(crown_data["H"], "crown H"),
+                formats._json_ints(crown_data["R"], "crown R"),
+                Matching.of(formats._json_pairs(crown_data["M"], "crown M")),
             )
         violations = validate_crown(doc.graph, cd)
         _print_json({"valid": not violations, "violations": violations})
         return 0 if not violations else VALIDATION_ERROR
     if args.what == "solution":
-        doc = _load_instance(args.input)
         if doc.problem is None or doc.k is None:
             raise ParseError("solution verification needs 'problem' and 'k'")
         instance: Any = _instance_payload(doc, doc.problem)
@@ -272,7 +252,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         _print_json({"valid": ok})
         return 0 if ok else VALIDATION_ERROR
     # kernel-equivalence
-    doc = _load_instance(args.input)
     result = formats.parse_result(_read_text(args.result))
     if doc.problem is None or doc.k is None:
         raise ParseError("equivalence verification needs 'problem' and 'k'")

@@ -26,7 +26,7 @@ from .graphs import (
     VertexDel,
 )
 from .instances import KernelResult
-from .problems import ProblemKind
+from .problems import PROBLEMS, ProblemKind, WitnessShape
 from .setcover import SetCoverInstance
 
 FORMAT_NAME = "rekern-instance"
@@ -61,48 +61,58 @@ def _modification_to_json(m: LocalModification) -> dict[str, Any]:
 def _modification_from_json(data: dict[str, Any]) -> LocalModification:
     op = data.get("op")
     if op == "edge_add":
-        return EdgeAdd(int(data["u"]), int(data["v"]))
+        return EdgeAdd(_json_int(data["u"], "u"), _json_int(data["v"], "v"))
     if op == "edge_del":
-        return EdgeDel(int(data["u"]), int(data["v"]))
+        return EdgeDel(_json_int(data["u"], "u"), _json_int(data["v"], "v"))
     if op == "vertex_del":
-        return VertexDel(int(data["v"]))
+        return VertexDel(_json_int(data["v"], "v"))
     if op == "vertex_add":
-        return VertexAdd(frozenset(int(x) for x in data["neighbors"]))
+        return VertexAdd(frozenset(_json_ints(data["neighbors"], "neighbors")))
     raise ParseError(f"unknown modification op {op!r}")
 
 
-def _witness_to_json(witness: Any) -> Any:
+def _decomposition_from_json(data: Any) -> TreeDecomposition:
+    _require(isinstance(data, dict), "a tree decomposition must be {bags, tree}")
+    bags = tuple(
+        frozenset(_json_ints(bag, "witness bag"))
+        for bag in _json_list(data["bags"], "witness bags")
+    )
+    tree = Graph.from_edges(len(bags), _json_pairs(data["tree"], "witness tree"))
+    return TreeDecomposition(tree, bags)
+
+
+_WITNESS_READERS = {
+    WitnessShape.VERTEX_SET: lambda data: frozenset(_json_ints(data, "witness")),
+    WitnessShape.VERTEX_SEQUENCE: lambda data: tuple(_json_ints(data, "witness")),
+    WitnessShape.PAIR_SET: lambda data: frozenset(_json_pairs(data, "witness")),
+    WitnessShape.TREE_DECOMPOSITION: _decomposition_from_json,
+}
+_WITNESS_WRITERS = {
+    WitnessShape.VERTEX_SET: sorted,
+    WitnessShape.VERTEX_SEQUENCE: list,
+    WitnessShape.PAIR_SET: lambda pairs: [list(pair) for pair in sorted(pairs)],
+    WitnessShape.TREE_DECOMPOSITION: lambda td: {
+        "bags": [sorted(bag) for bag in td.bags],
+        "tree": td.tree.sorted_edges(),
+    },
+}
+
+
+def _witness_shape(problem: ProblemKind | None) -> WitnessShape:
+    """A document that names no problem carries a vertex set."""
+    return WitnessShape.VERTEX_SET if problem is None else PROBLEMS[problem].witness
+
+
+def _witness_to_json(witness: Any, problem: ProblemKind | None) -> Any:
     if witness is None:
         return None
-    if isinstance(witness, TreeDecomposition):
-        bags = [sorted(bag) for bag in witness.bags]
-        return {"bags": bags, "tree": witness.tree.sorted_edges()}
-    if isinstance(witness, (frozenset, set)):
-        items = sorted(witness)
-        if items and isinstance(items[0], tuple):
-            return [list(t) for t in items]
-        return items
-    if isinstance(witness, tuple):
-        return list(witness)
-    return witness
+    return _WITNESS_WRITERS[_witness_shape(problem)](witness)
 
 
 def _witness_from_json(data: Any, problem: ProblemKind | None) -> Any:
     if data is None:
         return None
-    if problem is ProblemKind.TREEWIDTH:
-        _require(isinstance(data, dict), "treewidth witness must be {bags, tree}")
-        bags = tuple(
-            frozenset(_json_ints(bag, "witness bag"))
-            for bag in _json_list(data["bags"], "witness bags")
-        )
-        tree = Graph.from_edges(len(bags), _json_pairs(data["tree"], "witness tree"))
-        return TreeDecomposition(tree, bags)
-    if problem in (ProblemKind.LONGEST_PATH, ProblemKind.SET_COVER):
-        return tuple(_json_ints(data, "witness"))
-    if problem in (ProblemKind.IVST, ProblemKind.LEAF_OUT_TREE):
-        return frozenset(_json_pairs(data, "witness"))
-    return frozenset(_json_ints(data, "witness"))
+    return _WITNESS_READERS[_witness_shape(problem)](data)
 
 
 def _json_int(value: Any, what: str) -> int:
@@ -213,7 +223,7 @@ def emit_instance(doc: InstanceDocument) -> str:
     if doc.k_modified is not None:
         payload["k_modified"] = doc.k_modified
     if doc.witness is not None:
-        payload["witness"] = _witness_to_json(doc.witness)
+        payload["witness"] = _witness_to_json(doc.witness, doc.problem)
     if doc.modification is not None:
         payload["modification"] = _modification_to_json(doc.modification)
     if doc.notes:
@@ -224,6 +234,14 @@ def emit_instance(doc: InstanceDocument) -> str:
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ParseError(message)
+
+
+def problem_kind(name: Any) -> ProblemKind:
+    """The problem kind named ``name``; any other name is a usage error."""
+    try:
+        return ProblemKind(name)
+    except ValueError:
+        raise ParseError(f"unknown problem kind {name!r}") from None
 
 
 @contextmanager
@@ -238,25 +256,27 @@ def as_parse_error(what: str) -> Iterator[None]:
 @as_parse_error("instance document")
 def _parse_json_instance(data: dict[str, Any]) -> InstanceDocument:
     _require(data.get("format") == FORMAT_NAME, "not a rekern instance document")
-    _require(int(data.get("version", 0)) == FORMAT_VERSION, "unsupported version")
+    version = _json_int(data.get("version", 0), "version")
+    _require(version == FORMAT_VERSION, "unsupported version")
     doc = InstanceDocument()
     if "problem" in data:
-        try:
-            doc.problem = ProblemKind(data["problem"])
-        except ValueError as exc:
-            raise ParseError(f"unknown problem kind {data['problem']!r}") from exc
+        doc.problem = problem_kind(data["problem"])
     if "graph" in data:
         doc.graph = _graph_from_json(data["graph"])
     if "digraph" in data:
         dd = data["digraph"]
-        arcs = [(int(u), int(v)) for u, v in dd.get("arcs", [])]
-        doc.digraph = Digraph.from_arcs(int(dd["n"]), arcs)
+        doc.digraph = Digraph.from_arcs(
+            _json_int(dd["n"], "digraph n"), _json_pairs(dd.get("arcs", []), "arcs")
+        )
     if "set_cover" in data:
         sd = data["set_cover"]
         doc.set_cover = SetCoverInstance.of(
-            int(sd["universe"]),
-            [set(int(x) for x in member) for member in sd["family"]],
-            int(sd["k"]),
+            _json_int(sd["universe"], "universe"),
+            [
+                _json_ints(member, "family member")
+                for member in _json_list(sd["family"], "family")
+            ],
+            _json_int(sd["k"], "set cover k"),
         )
     if "k" in data:
         doc.k = _json_int(data["k"], "k")
@@ -366,13 +386,20 @@ def parse_result(text: str) -> KernelResult:
         raise ParseError(f"invalid JSON: {exc}") from exc
     _require(isinstance(data, dict), "top-level JSON value must be an object")
     _require(data.get("format") == RESULT_FORMAT, "not a rekern result document")
+    version = _json_int(data.get("version", 0), "version")
+    _require(version == FORMAT_VERSION, "unsupported version")
     kind = data.get("kind")
     if kind == "decided":
-        return KernelResult.decided(bool(data["answer"]))
+        answer = data["answer"]
+        _require(type(answer) is bool, f"answer must be a boolean, got {answer!r}")
+        return KernelResult.decided(answer)
     if kind == "reduced":
+        claim = None
+        if "size_bound_claim" in data:
+            claim = _json_int(data["size_bound_claim"], "size_bound_claim")
         return KernelResult.reduced(
             _graph_from_json(data["graph"]),
-            int(data["parameter"]),
-            data.get("size_bound_claim"),
+            _json_int(data["parameter"], "parameter"),
+            claim,
         )
     raise ParseError(f"unknown result kind {kind!r}")

@@ -12,7 +12,7 @@ kernelizer takes over.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
+from functools import lru_cache
 from typing import Any, Callable
 
 from .errors import DegreeTooHigh, SpecModificationMismatch, UnsupportedCombination
@@ -32,19 +32,7 @@ from .graphs import (
 )
 from .instances import KernelResult, ReoptInstance, as_concrete_instance
 from .oracles import membership, verify_solution
-from .problems import Direction, ProblemKind, direction_of
-
-
-class Monotonicity(Enum):
-    MONOTONE = "monotone"  # closed under removal of edges and vertices
-    COMONOTONE = "comonotone"  # closed under addition
-    NEITHER = "neither"
-
-
-class Compositionality(Enum):
-    OR = "or"
-    AND = "and"
-    NEITHER = "neither"
+from .problems import PROBLEMS, Compositionality, Direction, Monotonicity, ProblemKind
 
 
 @dataclass(frozen=True)
@@ -61,41 +49,27 @@ class ProblemSpec:
     oracle: Callable[[Graph, int], bool]
 
 
-def _spec_for(
-    kind: ProblemKind, monotonicity: Monotonicity, compositionality: Compositionality
-) -> ProblemSpec:
-    return ProblemSpec(
-        name=kind.value,
-        kind=kind,
-        direction=direction_of(kind),
-        monotonicity=monotonicity,
-        compositionality=compositionality,
-        verifier=lambda g, k, cand, _kind=kind: verify_solution(_kind, g, cand, k),
-        oracle=lambda g, k, _kind=kind: membership(_kind, g, k),
-    )
-
-
-_BUILTIN_SPECS = {
-    kind: _spec_for(kind, mono, comp)
-    for kind, mono, comp in (
-        (ProblemKind.IVST, Monotonicity.COMONOTONE, Compositionality.OR),
-        (ProblemKind.CLIQUE, Monotonicity.COMONOTONE, Compositionality.OR),
-        (ProblemKind.LONGEST_PATH, Monotonicity.MONOTONE, Compositionality.OR),
-        (ProblemKind.TREEWIDTH, Monotonicity.MONOTONE, Compositionality.AND),
-    )
-}
-
-
+@lru_cache(maxsize=None)
 def builtin_spec(kind: ProblemKind) -> ProblemSpec:
-    """The shared prebuilt spec of a compositional problem the toolkit ships.
+    """The shared spec of a compositional problem the toolkit ships, built
+    from its row in the problem table.
 
     Longest path is registered under the deletion (monotone) dispatch
     rule; its yes shortcut is taken only when the witness path names
     neither the deleted vertex nor both ends of the deleted edge.
     """
-    if kind not in _BUILTIN_SPECS:
+    row = PROBLEMS[kind]
+    if row.compositionality is Compositionality.NEITHER:
         raise UnsupportedCombination(f"no compositional spec for {kind}")
-    return _BUILTIN_SPECS[kind]
+    return ProblemSpec(
+        name=kind.value,
+        kind=kind,
+        direction=row.direction,
+        monotonicity=row.monotonicity,
+        compositionality=row.compositionality,
+        verifier=lambda g, k, cand: verify_solution(kind, g, cand, k),
+        oracle=lambda g, k: membership(kind, g, k),
+    )
 
 
 @dataclass(frozen=True)
@@ -312,18 +286,16 @@ def check_composition(
     graph pairs, using the exact oracle; returns the first counterexample."""
     from .smallgraphs import nonisomorphic_graphs
 
+    if mode is Compositionality.NEITHER:
+        raise UnsupportedCombination("mode must be OR or AND")
+    or_mode = mode is Compositionality.OR
     pool = [g for n in range(1, size_bound + 1) for g in nonisomorphic_graphs(n)]
     for k in range(0, size_bound + 1):
         members = [spec.oracle(g, k) for g in pool]
         for g1, in1 in zip(pool, members):
             for g2, in2 in zip(pool, members):
                 union_in = spec.oracle(disjoint_union(g1, g2), k)
-                if mode is Compositionality.OR:
-                    expected = in1 or in2
-                elif mode is Compositionality.AND:
-                    expected = in1 and in2
-                else:
-                    raise UnsupportedCombination("mode must be OR or AND")
+                expected = (in1 or in2) if or_mode else (in1 and in2)
                 if union_in != expected:
                     return CompositionReport(False, (g1, g2, k))
     return CompositionReport(True, None)

@@ -36,8 +36,8 @@ from .graphs import (
     path_graph,
 )
 from .instances import ReoptInstance
-from .oracles import SIZE_GUARDS, membership
-from .problems import ProblemKind
+from .oracles import membership
+from .problems import PROBLEMS, ProblemKind
 from .setcover import SetCoverInstance
 
 __all__ = [
@@ -109,7 +109,7 @@ def is_extremal(
     leaves the language) or a maximal one (every single edge addition
     leaves it); membership is complement-flipped for treewidth blocks."""
     size = g.n
-    if size > SIZE_GUARDS[problem] + 2:
+    if size > PROBLEMS[problem].size_guard + 2:
         raise OracleTooSlow(f"extremality check needs oracle calls at size {size}")
     if not _extremal_member(problem, g, k):
         return False

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import AbstractSet, Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 from .errors import ModificationInvalid, VertexOutOfRange
 
@@ -246,7 +246,7 @@ def components(g: Graph) -> list[list[int]]:
     return result
 
 
-def reach_within(g: Graph, start: int, within: AbstractSet[int]) -> set[int]:
+def reach_within(g: Graph, start: int, within: Container[int]) -> set[int]:
     """The component of ``start`` in the subgraph induced by ``within``
     (which holds ``start``), found without building that subgraph."""
     reached = {start}
@@ -282,8 +282,8 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
 
 
 def component_of(g: Graph, at: int | Edge) -> tuple[Graph, tuple[int, ...]]:
-    """The component containing a vertex (or an edge's endpoints) as an
-    induced subgraph, with the index map back to ``g``."""
+    """The component holding a vertex (or an edge's endpoints), found by one
+    walk from it, as an induced subgraph with the index map back to ``g``."""
     if isinstance(at, tuple):
         u, v = at
         g._check_vertex(u)
@@ -292,10 +292,7 @@ def component_of(g: Graph, at: int | Edge) -> tuple[Graph, tuple[int, ...]]:
     else:
         g._check_vertex(at)
         start = at
-    for comp in components(g):
-        if start in comp:
-            return induced_subgraph(g, comp)
-    raise AssertionError("unreachable: every vertex lies in a component")
+    return induced_subgraph(g, reach_within(g, start, g.vertices))
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:

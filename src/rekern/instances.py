@@ -7,7 +7,7 @@ from typing import Any
 
 from .errors import PreconditionViolated
 from .graphs import Graph, LocalModification, apply_modification, check_modification
-from .problems import Direction, ProblemKind, direction_of
+from .problems import PROBLEMS, Direction, ProblemKind
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ class ReoptInstance:
 
     @property
     def direction(self) -> Direction:
-        return direction_of(self.problem)
+        return PROBLEMS[self.problem].direction
 
     @property
     def modified(self) -> Graph:

@@ -23,7 +23,9 @@ a connected graph skips, and memoizes each component on the unlabelled
 ``(n, edges)`` in a bounded LRU cache (``_solve_component``), because
 kernel checks and compositional dispatch ask about the same small graphs
 again and again.  Size guards run before every lookup, so a cached answer
-never bypasses a guard.
+never bypasses a guard.  Each kind's solver, verifier and component combine
+rule sit in one table (``_ORACLES``); its size guard, witness shape and
+direction come from its row in ``rekern.problems``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 from .decomposition import TreeDecomposition, validate_tree_decomposition
 from .errors import SizeGuardExceeded, UnsupportedProblem
@@ -45,21 +47,9 @@ from .graphs import (
 )
 from .instances import KernelResult
 from .matching import greedy_matching
-from .problems import Direction, ProblemKind, direction_of
+from .problems import PROBLEMS, Direction, ProblemKind, WitnessShape
 from .setcover import SetCoverInstance
 
-# Default per-component size guards.  ``solve_exact`` accepts an explicit
-# override for callers that knowingly pay for larger instances.
-SIZE_GUARDS: dict[ProblemKind, int] = {
-    ProblemKind.VERTEX_COVER: 20,
-    ProblemKind.CONNECTED_VERTEX_COVER: 30,
-    ProblemKind.IVST: 10,
-    ProblemKind.LONGEST_PATH: 16,
-    ProblemKind.CLIQUE: 20,
-    ProblemKind.SET_COVER: 20,
-    ProblemKind.TREEWIDTH: 10,
-    ProblemKind.LEAF_OUT_TREE: 8,
-}
 LEAF_OUT_TREE_ARC_GUARD = 14
 
 
@@ -70,7 +60,7 @@ class ExactSolution:
 
 
 def _guard(kind: ProblemKind, size: int, limit: int | None) -> None:
-    cap = limit if limit is not None else SIZE_GUARDS[kind]
+    cap = limit if limit is not None else PROBLEMS[kind].size_guard
     if size > cap:
         raise SizeGuardExceeded(
             f"{kind.value} oracle limited to {cap}, got instance of size {size}"
@@ -222,7 +212,7 @@ def _cvc_completions(
     return False
 
 
-def _solve_cvc(g: Graph, cap: int | None = None) -> ExactSolution:
+def _solve_cvc(g: Graph, limit: int | None, cap: int | None) -> ExactSolution:
     """Minimum connected vertex cover, or with ``cap`` the first connected
     cover of size <= cap found; None if there is none.
 
@@ -231,6 +221,7 @@ def _solve_cvc(g: Graph, cap: int | None = None) -> ExactSolution:
     stops the search at its first connected cover, which is enough for
     membership queries.
     """
+    _guard(ProblemKind.CONNECTED_VERTEX_COVER, g.n, limit)
     if not g.edges:
         return ExactSolution(0, frozenset())
     edge_comps = [c for c in components(g) if len(c) > 1]
@@ -389,14 +380,10 @@ def is_subtree_with_internal(g: Graph, candidate: Iterable[Iterable[int]], k: in
     vertices = {v for e in edges for v in e}
     if len(edges) != len(vertices) - 1:
         return False
-    sub, idx = induced_subgraph(g, vertices)
-    back = {old: new for new, old in enumerate(idx)}
-    tree_edges = {normalize_edge(back[u], back[v]) for u, v in edges}
-    tree = Graph(len(vertices), frozenset(tree_edges))
-    if len(components(tree)) != 1:
+    tree = Graph(g.n, frozenset(edges))
+    if len(reach_within(tree, min(vertices), vertices)) != len(vertices):
         return False
-    internal = sum(1 for v in tree.vertices if tree.degree(v) >= 2)
-    return internal >= k
+    return sum(1 for v in vertices if len(tree.adjacency[v]) >= 2) >= k
 
 
 def _solve_ivst(g: Graph) -> ExactSolution:
@@ -634,7 +621,10 @@ def is_set_cover(sc: SetCoverInstance, candidate: Iterable[int]) -> bool:
     return covered == sc.universe
 
 
-def _solve_set_cover(sc: SetCoverInstance) -> ExactSolution:
+def _solve_set_cover(
+    sc: SetCoverInstance, limit: int | None, _budget: int | None
+) -> ExactSolution:
+    _guard(ProblemKind.SET_COVER, sc.t, limit)
     for size in range(0, sc.t + 1):
         for chosen in combinations(range(sc.t), size):
             if is_set_cover(sc, chosen):
@@ -673,7 +663,25 @@ def is_out_tree(d: Digraph, candidate: Iterable[tuple[int, int]], k: int) -> boo
     return leaves >= k
 
 
-def _solve_leaf_out_tree(d: Digraph) -> ExactSolution:
+def _solve_leaf_out_tree(
+    d: Digraph, limit: int | None, _budget: int | None
+) -> ExactSolution:
+    """Most leaves of an out-tree: the first best weak component."""
+    parts = []
+    for comp in components(Graph.from_edges(d.n, d.arcs)):
+        back = {old: new for new, old in enumerate(comp)}
+        sub = Digraph(
+            len(comp),
+            frozenset((back[u], back[v]) for u, v in d.arcs if u in back and v in back),
+        )
+        _guard(ProblemKind.LEAF_OUT_TREE, sub.n, limit)
+        local = _leaf_out_tree_component(sub)
+        arcs = _MAP_WITNESS[WitnessShape.PAIR_SET](local.witness, comp)
+        parts.append(ExactSolution(local.value, arcs))
+    return _best_part(parts) if parts else ExactSolution(0, frozenset())
+
+
+def _leaf_out_tree_component(d: Digraph) -> ExactSolution:
     arcs = sorted(d.arcs)
     if len(arcs) > LEAF_OUT_TREE_ARC_GUARD:
         raise SizeGuardExceeded(
@@ -687,33 +695,103 @@ def _solve_leaf_out_tree(d: Digraph) -> ExactSolution:
         if len(subset) != len(vertices) - 1:
             continue
         if is_out_tree(d, subset, 0):
-            leaves = _count_out_tree_leaves(subset)
+            # In an out-tree the leaves are the vertices entered but never left.
+            leaves = len({v for _, v in subset} - {u for u, _ in subset})
             if leaves > best:
                 best = leaves
                 best_witness = frozenset(subset)
     return ExactSolution(best, best_witness)
 
 
-def _count_out_tree_leaves(arcs: list[tuple[int, int]]) -> int:
-    vertices = {x for arc in arcs for x in arc}
-    heads = {u for u, _ in arcs}
-    indeg = {v: 0 for v in vertices}
-    for _, v in arcs:
-        indeg[v] += 1
-    return sum(1 for v in vertices if indeg[v] == 1 and v not in heads)
-
-
 # --- dispatch ----------------------------------------------------------------
 
 
-# Solvers whose answer depends on the unlabelled component alone.
-_COMPONENT_SOLVERS = {
-    ProblemKind.VERTEX_COVER: _solve_vertex_cover,
-    ProblemKind.TREEWIDTH: _solve_treewidth,
-    ProblemKind.IVST: _solve_ivst,
-    ProblemKind.LONGEST_PATH: _solve_longest_path,
-    ProblemKind.CLIQUE: _solve_clique,
+def _sum_covers(parts: list[ExactSolution]) -> ExactSolution:
+    """A cover is a sum over components."""
+    return ExactSolution(
+        sum(part.value for part in parts),
+        frozenset().union(*(part.witness for part in parts)),
+    )
+
+
+def _best_part(parts: list[ExactSolution]) -> ExactSolution:
+    """A connected solution object: the first best component holds it."""
+    return max(parts, key=lambda part: part.value)
+
+
+def _chain_decompositions(parts: list[ExactSolution]) -> ExactSolution:
+    """Width is the maximum over components; one witness decomposition must
+    cover them all, so their trees are chained into one tree."""
+    bags: list[frozenset[int]] = []
+    tree_edges: list[tuple[int, int]] = []
+    for part in parts:
+        td: TreeDecomposition = part.witness
+        offset = len(bags)
+        if offset:
+            tree_edges.append((offset - 1, offset))
+        tree_edges.extend((offset + a, offset + b) for a, b in td.tree.edges)
+        bags.extend(td.bags)
+    td = TreeDecomposition(Graph.from_edges(len(bags), tree_edges), tuple(bags))
+    return ExactSolution(max(part.value for part in parts), td)
+
+
+# A component's witness in the whole instance's labels.  ``idx`` ascends,
+# so a normalized edge stays normalized and an arc keeps its direction.
+_MAP_WITNESS = {
+    WitnessShape.VERTEX_SET: lambda w, idx: frozenset(idx[v] for v in w),
+    WitnessShape.VERTEX_SEQUENCE: lambda w, idx: tuple(idx[v] for v in w),
+    WitnessShape.PAIR_SET: lambda w, idx: frozenset((idx[u], idx[v]) for u, v in w),
+    WitnessShape.TREE_DECOMPOSITION: lambda td, idx: TreeDecomposition(
+        td.tree, tuple(frozenset(idx[v] for v in bag) for bag in td.bags)
+    ),
 }
+
+
+# With ``combine``, ``solve`` takes one connected component and ``combine``
+# folds the components' solutions; without it, ``solve`` takes the whole
+# instance, the size limit and the connected cover budget.
+class _Oracle(NamedTuple):
+    solve: Callable[..., ExactSolution]
+    verify: Callable[[Any, Any, int], bool]
+    combine: Callable[[list[ExactSolution]], ExactSolution] | None = None
+
+
+_ORACLES = {
+    ProblemKind.VERTEX_COVER: _Oracle(
+        _solve_vertex_cover,
+        lambda g, c, k: len(set(c)) <= k and is_vertex_cover(g, c),
+        _sum_covers,
+    ),
+    ProblemKind.CONNECTED_VERTEX_COVER: _Oracle(
+        _solve_cvc,
+        lambda g, c, k: len(set(c)) <= k and is_connected_vertex_cover(g, c),
+    ),
+    ProblemKind.IVST: _Oracle(_solve_ivst, is_subtree_with_internal, _best_part),
+    ProblemKind.LONGEST_PATH: _Oracle(
+        _solve_longest_path,
+        lambda g, c, k: len(list(c)) >= k + 1 and is_path(g, c),
+        _best_part,
+    ),
+    ProblemKind.CLIQUE: _Oracle(
+        _solve_clique,
+        lambda g, c, k: len(set(c)) >= k and is_clique(g, c),
+        _best_part,
+    ),
+    ProblemKind.SET_COVER: _Oracle(
+        _solve_set_cover,
+        lambda sc, c, k: len(list(c)) <= k and is_set_cover(sc, c),
+    ),
+    ProblemKind.TREEWIDTH: _Oracle(
+        _solve_treewidth,
+        lambda g, c, k: isinstance(c, TreeDecomposition)
+        and c.width <= k
+        and not validate_tree_decomposition(g, c),
+        _chain_decompositions,
+    ),
+    ProblemKind.LEAF_OUT_TREE: _Oracle(_solve_leaf_out_tree, is_out_tree),
+}
+
+_PAYLOAD_TYPES = {"graph": Graph, "digraph": Digraph, "set_cover": SetCoverInstance}
 
 
 @lru_cache(maxsize=256)
@@ -725,21 +803,7 @@ def _solve_component(
     Labels are not part of the key, so a hit returns exactly what the
     solver returns on the unlabelled graph.  Callers run ``_guard`` first.
     """
-    return _COMPONENT_SOLVERS[kind](Graph(n, edges))
-
-
-def _weak_components(d: Digraph) -> list[list[int]]:
-    undirected = Graph.from_edges(d.n, [(u, v) for u, v in d.arcs])
-    return components(undirected)
-
-
-def _induced_digraph(d: Digraph, vertices: list[int]) -> tuple[Digraph, tuple[int, ...]]:
-    index_map = tuple(sorted(vertices))
-    back = {old: new for new, old in enumerate(index_map)}
-    arcs = frozenset(
-        (back[u], back[v]) for u, v in d.arcs if u in back and v in back
-    )
-    return Digraph(len(index_map), arcs), index_map
+    return _ORACLES[kind].solve(Graph(n, edges))
 
 
 def solve_exact(
@@ -753,80 +817,27 @@ def solve_exact(
 
     For connected vertex cover, ``cvc_budget`` bounds the search; a value
     of ``None`` in the result means no connected cover within the budget
-    (or none at all when edges span several components).
+    (or none at all when edges span several components).  Other problems
+    ignore it.
     """
-    if kind is ProblemKind.SET_COVER:
-        if not isinstance(instance, SetCoverInstance):
-            raise UnsupportedProblem("set cover expects a SetCoverInstance")
-        _guard(kind, instance.t, limit)
-        return _solve_set_cover(instance)
-
-    if kind is ProblemKind.LEAF_OUT_TREE:
-        if not isinstance(instance, Digraph):
-            raise UnsupportedProblem("leaf out tree expects a Digraph")
-        best = ExactSolution(0, frozenset())
-        for comp in _weak_components(instance):
-            sub, idx = _induced_digraph(instance, comp)
-            _guard(kind, sub.n, limit)
-            local = _solve_leaf_out_tree(sub)
-            if local.value is not None and local.value > (best.value or 0):
-                witness = frozenset((idx[u], idx[v]) for u, v in local.witness)
-                best = ExactSolution(local.value, witness)
-        return best
-
-    if not isinstance(instance, Graph):
-        raise UnsupportedProblem(f"{kind.value} expects a Graph")
+    payload = _PAYLOAD_TYPES[PROBLEMS[kind].payload]
+    if not isinstance(instance, payload):
+        raise UnsupportedProblem(f"{kind.value} expects a {payload.__name__}")
+    solve, _, combine = _ORACLES[kind]
+    if combine is None:
+        return solve(instance, limit, cvc_budget)
     g = instance
-
-    if kind is ProblemKind.CONNECTED_VERTEX_COVER:
-        _guard(kind, g.n, limit)
-        return _solve_cvc(g, cvc_budget)
-
-    if kind not in _COMPONENT_SOLVERS:
-        raise UnsupportedProblem(f"no exact solver for {kind}")
     if _connected(g):  # one component: its own labels, so no copy to map back
         _guard(kind, g.n, limit)
         return _solve_component(kind, g.n, g.edges)
+    map_witness = _MAP_WITNESS[PROBLEMS[kind].witness]
     parts = []
     for comp in components(g):
         sub, idx = induced_subgraph(g, comp)
         _guard(kind, sub.n, limit)
-        parts.append((_solve_component(kind, sub.n, sub.edges), idx))
-
-    if kind is ProblemKind.VERTEX_COVER:  # a cover is a sum over components
-        cover: frozenset[int] = frozenset()
-        for local, idx in parts:
-            cover |= _map_witness(kind, local.witness, idx)
-        return ExactSolution(sum(local.value for local, _ in parts), cover)
-    if kind is ProblemKind.TREEWIDTH:
-        # Width is the maximum over components; the witness decomposition
-        # must still cover every component, so the per-component trees are
-        # chained together into one tree.
-        bags: list[frozenset[int]] = []
-        tree_edges: list[tuple[int, int]] = []
-        for local, idx in parts:
-            td: TreeDecomposition = local.witness
-            offset = len(bags)
-            if offset:
-                tree_edges.append((offset - 1, offset))
-            tree_edges.extend((offset + a, offset + b) for a, b in td.tree.edges)
-            bags.extend(frozenset(idx[v] for v in bag) for bag in td.bags)
-        return ExactSolution(
-            max(local.value for local, _ in parts),
-            TreeDecomposition(Graph.from_edges(len(bags), tree_edges), tuple(bags)),
-        )
-    # IVST, longest path and clique: solution objects are connected, so the
-    # first best component holds the optimum.
-    local, idx = max(parts, key=lambda part: part[0].value)
-    return ExactSolution(local.value, _map_witness(kind, local.witness, idx))
-
-
-def _map_witness(kind: ProblemKind, witness: Any, idx: tuple[int, ...]) -> Any:
-    if kind is ProblemKind.LONGEST_PATH:
-        return tuple(idx[v] for v in witness)
-    if kind is ProblemKind.IVST:
-        return frozenset(normalize_edge(idx[u], idx[v]) for u, v in witness)
-    return frozenset(idx[v] for v in witness)  # vertex cover and clique
+        local = _solve_component(kind, sub.n, sub.edges)
+        parts.append(ExactSolution(local.value, map_witness(local.witness, idx)))
+    return combine(parts)
 
 
 def membership(
@@ -837,11 +848,10 @@ def membership(
     limit: int | None = None,
 ) -> bool:
     """Whether (instance, k) is a member of the parameterized problem."""
-    budget = k if kind is ProblemKind.CONNECTED_VERTEX_COVER else None
-    solution = solve_exact(kind, instance, limit=limit, cvc_budget=budget)
+    solution = solve_exact(kind, instance, limit=limit, cvc_budget=k)
     if solution.value is None:
         return False
-    if direction_of(kind) is Direction.MIN:
+    if PROBLEMS[kind].direction is Direction.MIN:
         return solution.value <= k
     return solution.value >= k
 
@@ -854,31 +864,7 @@ def verify_solution(
 ) -> bool:
     """True iff the candidate satisfies the problem's defining predicate
     at cost k."""
-    if candidate is None:
-        return False
-    if kind is ProblemKind.VERTEX_COVER:
-        return len(set(candidate)) <= k and is_vertex_cover(instance, candidate)
-    if kind is ProblemKind.CONNECTED_VERTEX_COVER:
-        return len(set(candidate)) <= k and is_connected_vertex_cover(
-            instance, candidate
-        )
-    if kind is ProblemKind.CLIQUE:
-        return len(set(candidate)) >= k and is_clique(instance, candidate)
-    if kind is ProblemKind.LONGEST_PATH:
-        return len(list(candidate)) >= k + 1 and is_path(instance, candidate)
-    if kind is ProblemKind.IVST:
-        return is_subtree_with_internal(instance, candidate, k)
-    if kind is ProblemKind.SET_COVER:
-        return len(list(candidate)) <= k and is_set_cover(instance, candidate)
-    if kind is ProblemKind.TREEWIDTH:
-        if not isinstance(candidate, TreeDecomposition):
-            return False
-        return candidate.width <= k and not validate_tree_decomposition(
-            instance, candidate
-        )
-    if kind is ProblemKind.LEAF_OUT_TREE:
-        return is_out_tree(instance, candidate, k)
-    raise UnsupportedProblem(f"no verifier for {kind}")
+    return candidate is not None and _ORACLES[kind].verify(instance, candidate, k)
 
 
 def verify_kernel_equivalence(

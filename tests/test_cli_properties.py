@@ -6,7 +6,8 @@ elements, parameters, a witness of any problem's shape, a modification and
 crown notes.  Graph edges and digraph arcs are valid; the vertices of
 witnesses, modifications and crowns run from -1 to n, so some are out of
 range.  Then up to three fields (at the top level or one level down) are
-dropped or replaced by a value of the wrong type.  Each document goes
+dropped or replaced by a value of the wrong type; result documents get
+one such change half of the time.  Each document goes
 through every subcommand, and each must exit 0, 2, 3 or 4; a Python
 traceback fails the test.  DIMACS text (``p edge n m`` / ``e u v``) with
 a missing or second problem line, a wrong edge count, endpoints 0 or
@@ -134,7 +135,11 @@ def result_documents(draw):
         "parameter": draw(st.integers(-1, 4)),
     }
     if draw(st.booleans()):
-        del doc[draw(st.sampled_from(sorted(doc)))]
+        key = draw(st.sampled_from(sorted(doc)))
+        if draw(st.booleans()):
+            del doc[key]
+        else:
+            doc[key] = draw(garbage)
     return doc
 
 

@@ -7,8 +7,17 @@ from hypothesis import strategies as st
 from rekern import formats
 from rekern.cli import run_command
 from rekern.errors import ParseError
-from rekern.graphs import EdgeAdd, EdgeDel, Graph, VertexAdd, VertexDel, path_graph
+from rekern.graphs import (
+    Digraph,
+    EdgeAdd,
+    EdgeDel,
+    Graph,
+    VertexAdd,
+    VertexDel,
+    path_graph,
+)
 from rekern.instances import KernelResult
+from rekern.oracles import solve_exact, verify_solution
 from rekern.problems import ProblemKind as PK
 from rekern.setcover import SetCoverInstance
 
@@ -75,17 +84,28 @@ def test_digraph_round_trip(capsys):
     assert emitted.digraph is not None and emitted.digraph.n == 4
 
 
-def test_witness_shapes_round_trip():
-    doc = formats.InstanceDocument(
-        problem=PK.IVST, graph=path_graph(4), witness=frozenset({(0, 1), (1, 2)})
-    )
+# A triangle with a tail 2-3-4, so that every witness shape is non-trivial.
+_ROUND_TRIP_GRAPH = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
+_ROUND_TRIP_PAYLOADS = {
+    PK.SET_COVER: {"set_cover": SetCoverInstance.of(3, [{1, 2}, {3}, {2, 3}], 2)},
+    PK.LEAF_OUT_TREE: {"digraph": Digraph.from_arcs(5, [(0, 1), (0, 2), (2, 3), (4, 3)])},
+}
+
+
+@pytest.mark.parametrize("kind", list(PK), ids=lambda kind: kind.value)
+def test_witness_shapes_round_trip(kind):
+    """The oracle's witness survives the document writer and reader, in
+    the shape its problem declares, and still verifies at the solved
+    value."""
+    fields = _ROUND_TRIP_PAYLOADS.get(kind, {"graph": _ROUND_TRIP_GRAPH})
+    (payload,) = fields.values()
+    solution = solve_exact(kind, payload)
+    assert solution.witness  # not empty, so the shape is seen on the wire
+    doc = formats.InstanceDocument(problem=kind, witness=solution.witness, **fields)
     back = formats.parse_instance(formats.emit_instance(doc))
-    assert back.witness == frozenset({(0, 1), (1, 2)})
-    doc = formats.InstanceDocument(
-        problem=PK.LONGEST_PATH, graph=path_graph(4), witness=(0, 1, 2)
-    )
-    back = formats.parse_instance(formats.emit_instance(doc))
-    assert back.witness == (0, 1, 2)
+    assert back.witness == solution.witness
+    assert type(back.witness) is type(solution.witness)
+    assert verify_solution(kind, payload, back.witness, solution.value)
 
 
 def test_dimacs_round_trip_and_indexing():
@@ -119,6 +139,66 @@ def test_parse_errors_carry_diagnostics():
         formats.parse_instance("")
     with pytest.raises(ParseError):
         formats.parse_instance("{not json")
+
+
+def _kernel_equivalence_exit(tmp_path, capsys, result):
+    """Exit code of ``verify kernel-equivalence`` for the yes-instance path
+    0-1-2 with k = 1 against the given result document."""
+    inst = formats.InstanceDocument(problem=PK.VERTEX_COVER, graph=path_graph(3), k=1)
+    (tmp_path / "inst.json").write_text(formats.emit_instance(inst))
+    (tmp_path / "res.json").write_text(
+        json.dumps({"format": formats.RESULT_FORMAT, "version": 1, **result})
+    )
+    code, out = run_cli(
+        capsys, "verify", "kernel-equivalence",
+        "--input", str(tmp_path / "inst.json"), "--result", str(tmp_path / "res.json"),
+    )
+    return code, out
+
+
+_PATH_RESULT = {"kind": "reduced", "graph": {"n": 3, "edges": [[0, 1], [1, 2]]}}
+
+
+@pytest.mark.parametrize(
+    "result",
+    [
+        pytest.param({"kind": "decided", "answer": "false"}, id="string-answer"),
+        pytest.param({"kind": "decided", "answer": 0}, id="integer-answer"),
+        pytest.param({"kind": "decided", "answer": None}, id="null-answer"),
+        pytest.param({**_PATH_RESULT, "parameter": 1.0}, id="float-parameter"),
+        pytest.param({**_PATH_RESULT, "parameter": True}, id="boolean-parameter"),
+        pytest.param(
+            {**_PATH_RESULT, "parameter": 1, "size_bound_claim": 3.0}, id="float-claim"
+        ),
+        pytest.param(
+            {**_PATH_RESULT, "parameter": 1, "size_bound_claim": None}, id="null-claim"
+        ),
+        pytest.param(
+            {"kind": "decided", "answer": True, "version": "1"}, id="string-version"
+        ),
+        pytest.param({"kind": "decided", "answer": True, "version": 2}, id="version-2"),
+    ],
+)
+def test_cli_result_document_fields_are_strictly_typed(result, tmp_path, capsys):
+    """``answer`` is a JSON boolean, ``parameter`` an integer and
+    ``size_bound_claim`` an integer or absent, and ``version`` is 1;
+    anything else is a usage error, where ``"answer": "false"`` used to
+    read as a yes."""
+    assert _kernel_equivalence_exit(tmp_path, capsys, result) == (2, "")
+
+
+@pytest.mark.parametrize(
+    "result",
+    [
+        {"kind": "decided", "answer": True},
+        {**_PATH_RESULT, "parameter": 1},
+        {**_PATH_RESULT, "parameter": 1, "size_bound_claim": 3},
+    ],
+    ids=["decided", "reduced", "reduced-with-claim"],
+)
+def test_cli_well_typed_result_documents_verify(result, tmp_path, capsys):
+    code, out = _kernel_equivalence_exit(tmp_path, capsys, result)
+    assert code == 0 and json.loads(out)["equivalent"] is True
 
 
 def test_result_round_trip():
@@ -290,6 +370,31 @@ def test_cli_verify_crown_exit_codes(tmp_path, capsys):
     assert code == 4 and json.loads(out)["valid"] is False
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        pytest.param("C", [1.2, True], id="C-float-and-boolean"),
+        pytest.param("C", [1.0, 2, 3], id="C-float"),
+        pytest.param("C", "123", id="C-string"),
+        pytest.param("H", [True], id="H-boolean"),
+        pytest.param("H", [0.0], id="H-float"),
+        pytest.param("R", ["0"], id="R-string-item"),
+        pytest.param("M", [[0, 1.0]], id="M-float"),
+        pytest.param("M", [[False, 1]], id="M-boolean"),
+    ],
+)
+def test_cli_verify_crown_reads_its_notes_as_integers(field, value, tmp_path, capsys):
+    """The crown notes go through the strict integer reader: a float, a
+    boolean or a string is a usage error, not a crown to validate."""
+    crown = {"C": [1, 2, 3], "H": [0], "R": [], "M": [[0, 1]], field: value}
+    doc = formats.InstanceDocument(
+        graph=Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]), notes={"crown": crown}
+    )
+    path = tmp_path / "crown.json"
+    path.write_text(formats.emit_instance(doc))
+    assert run_cli(capsys, "verify", "crown", "--input", str(path)) == (2, "")
+
+
 def test_cli_verify_kernel_equivalence(tmp_path, capsys):
     inst = formats.InstanceDocument(
         problem=PK.VERTEX_COVER, graph=path_graph(3), k=1
@@ -427,6 +532,21 @@ def _malformed_reopt_documents():
         "boolean-witness": doc(witness=[True]),
         "string-witness": doc(witness="0"),
         "object-witness": doc(witness={"0": 0}),
+        "float-modification-u": doc(modification={"op": "edge_add", "u": 0.9, "v": 2}),
+        "string-modification-v": doc(modification={"op": "edge_add", "u": 1, "v": "2"}),
+        "boolean-edge-del-u": doc(modification={"op": "edge_del", "u": False, "v": 1}),
+        "float-vertex-del": doc(modification={"op": "vertex_del", "v": 1.0}),
+        "float-neighbor": doc(modification={"op": "vertex_add", "neighbors": [0, 1.0]}),
+        "string-neighbors": doc(modification={"op": "vertex_add", "neighbors": "01"}),
+        "float-digraph-n": doc(digraph={"n": 3.0, "arcs": [[0, 1]]}),
+        "float-arc": doc(digraph={"n": 3, "arcs": [[0, 1.5]]}),
+        "float-universe": doc(set_cover={"universe": 2.0, "family": [[1], [2]], "k": 1}),
+        "float-family-item": doc(set_cover={"universe": 2, "family": [[1], [2.7]], "k": 1}),
+        "string-family": doc(set_cover={"universe": 2, "family": ["12"], "k": 1}),
+        "boolean-set-cover-k": doc(set_cover={"universe": 2, "family": [[1], [2]], "k": True}),
+        "string-version": doc(version="1"),
+        "float-version": doc(version=1.5),
+        "boolean-version": doc(version=True),
     }
 
 

@@ -348,10 +348,40 @@ def test_check_composition_small_bounds():
 
 
 def test_builtin_spec_table():
+    """Each built-in spec is one shared object built from its problem's
+    row; a row that declares no compositionality has no spec."""
+    from rekern.errors import UnsupportedCombination
+    from rekern.oracles import solve_exact, verify_solution
+    from rekern.problems import PROBLEMS
+
     assert builtin_spec(PK.IVST).monotonicity is Monotonicity.COMONOTONE
     assert builtin_spec(PK.TREEWIDTH).compositionality is Compositionality.AND
     with pytest.raises(Exception):
         builtin_spec(PK.VERTEX_COVER)
+    declared = {}
+    g = disjoint_union(cycle_graph(3), path_graph(3))
+    for kind, row in PROBLEMS.items():
+        if row.compositionality is Compositionality.NEITHER:
+            assert row.monotonicity is Monotonicity.NEITHER
+            with pytest.raises(UnsupportedCombination):
+                builtin_spec(kind)
+            continue
+        spec = builtin_spec(kind)
+        assert spec is builtin_spec(kind) and spec.kind is kind
+        assert spec.name == kind.value and spec.direction is row.direction
+        declared[kind] = (spec.monotonicity, spec.compositionality)
+        solution = solve_exact(kind, g)
+        for k in range(4):
+            assert spec.oracle(g, k) == membership(kind, g, k)
+            assert spec.verifier(g, k, solution.witness) == verify_solution(
+                kind, g, solution.witness, k
+            )
+    assert declared == {
+        PK.IVST: (Monotonicity.COMONOTONE, Compositionality.OR),
+        PK.CLIQUE: (Monotonicity.COMONOTONE, Compositionality.OR),
+        PK.LONGEST_PATH: (Monotonicity.MONOTONE, Compositionality.OR),
+        PK.TREEWIDTH: (Monotonicity.MONOTONE, Compositionality.AND),
+    }
 
 
 def test_and_comonotone_deletion_rule():

@@ -92,6 +92,25 @@ def test_components_partition_and_component_of():
         component_of(g, 99)
 
 
+def test_component_of_equals_the_component_split():
+    """On every atlas graph with up to 6 vertices, labelled so labels are
+    carried too, the walk from each vertex (and from each edge) gives the
+    induced copy of the ``components`` entry that holds it."""
+    from rekern.smallgraphs import all_graphs_upto
+
+    for plain in all_graphs_upto(6):
+        g = Graph(plain.n, plain.edges, tuple(f"v{i}" for i in range(plain.n)))
+        for comp in components(g):
+            expected = induced_subgraph(g, comp)
+            for v in comp:
+                got = component_of(g, v)
+                assert got == expected and got[0].labels == expected[0].labels
+        for u, v in g.edges:
+            assert component_of(g, (u, v)) == component_of(g, u)
+    with pytest.raises(VertexOutOfRange):
+        component_of(path_graph(3), (0, 3))
+
+
 def test_components_cover_disjoint_connected(rng):
     from rekern.smallgraphs import random_graph
 

@@ -27,7 +27,7 @@ from rekern.oracles import (
     verify_kernel_equivalence,
     verify_solution,
 )
-from rekern.problems import ProblemKind as PK
+from rekern.problems import PROBLEMS, ProblemKind as PK
 from rekern.setcover import SetCoverInstance
 
 IVST_VALUES = Path(__file__).with_name("data") / "ivst_values.json"
@@ -294,7 +294,7 @@ def test_longest_path_outputs_match_the_pinned_extension_table():
         g = Graph.from_edges(entry["n"], [tuple(e) for e in entry["edges"]])
         assert len(components(g)) == 1 and 8 <= g.n <= 16
         cases.append((g, entry))
-    assert max(g.n for g, _ in cases) == oracles.SIZE_GUARDS[PK.LONGEST_PATH]
+    assert max(g.n for g, _ in cases) == PROBLEMS[PK.LONGEST_PATH].size_guard
     for g, entry in cases:
         solution = oracles._solve_longest_path(g)
         assert solution == oracles.ExactSolution(entry["value"], tuple(entry["path"])), g
