@@ -257,8 +257,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ParseError("equivalence verification needs 'problem' and 'k'")
     instance = _instance_payload(doc, doc.problem)
     k = doc.k_modified if doc.k_modified is not None else doc.k
-    if doc.modification is not None and doc.graph is not None:
-        instance = apply_modification(doc.graph, doc.modification)
+    if doc.modification is not None:
+        if PROBLEMS[doc.problem].payload != "graph":
+            raise ParseError(f"a {doc.problem.value} instance takes no modification")
+        instance = apply_modification(instance, doc.modification)
     ok = verify_kernel_equivalence(doc.problem, instance, k, result, limit=args.limit)
     _print_json({"equivalent": ok})
     return 0 if ok else VALIDATION_ERROR

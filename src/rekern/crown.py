@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import InternalInvariantBroken, PreconditionViolated
-from .graphs import Graph, normalize_edge
+from .graphs import Graph
 from .matching import (
     Matching,
     alternating_reachability,
@@ -53,25 +53,21 @@ def validate_crown(g: Graph, cd: CrownDecomposition) -> list[str]:
         violations.append("crown, head, and rest do not cover every vertex")
     # Only edges at the crown can break the next two clauses; the edge
     # scan below runs only when one does, to list them in edge order.
-    adjacency, crown_or_rest = g.adjacency, c | r
-    if not all(
-        adjacency[x].isdisjoint(crown_or_rest) for x in c if 0 <= x < g.n
-    ):
+    adjacency, crown_or_rest, n = g.adjacency, c | r, g.n
+    if not all(adjacency[x].isdisjoint(crown_or_rest) for x in c if 0 <= x < n):
         for u, v in g.edges:
             if u in c and v in c:
                 violations.append(f"crown is not independent: edge {(u, v)}")
             if (u in c and v in r) or (u in r and v in c):
                 violations.append(f"edge between crown and rest: {(u, v)}")
 
-    matched_heads: set[int] = set()
-    for u, v in cd.matching.pairs:
-        if normalize_edge(u, v) not in g.edges:
+    edges = g.edges
+    for u, v in cd.matching.pairs:  # normalized, as in every Matching
+        if (u, v) not in edges:
             violations.append(f"matching pair {(u, v)} is not a graph edge")
-        ends = {u, v}
-        if not (ends & c and ends & h):
+        if not ((u in c or v in c) and (u in h or v in h)):
             violations.append(f"matching pair {(u, v)} does not join crown to head")
-        matched_heads |= ends & h
-    if matched_heads != set(h):
+    if h.difference(cd.matching.partner_map()):
         violations.append("matching does not saturate the head")
     if cd.matching.size != len(h):
         violations.append(
@@ -115,11 +111,9 @@ class ReoptPartition:
         return crown, head, rest
 
     def saturating(self, head: frozenset[int]) -> Matching:
-        return Matching(
-            frozenset(
-                p for p in self.matching.pairs if p[0] in head or p[1] in head
-            )
-        )
+        """The matching pairs at the head's vertices."""
+        partners = self.matching.partner_map()
+        return Matching.of((a, partners[a]) for a in head if a in partners)
 
 
 def _partition_from_matching(
@@ -131,18 +125,18 @@ def _partition_from_matching(
     b_unmatched = b - matched
     a1, b1 = alternating_reachability(g, cover, b, m, "B")
     a2, b2 = alternating_reachability(g, cover, b, m, "A")
-    if (a1 | a2) - matched or (b1 | b2) - matched:
+    if not all(reached <= matched for reached in (a1, a2, b1, b2)):
         raise InternalInvariantBroken(
             "alternating search reached an unmatched vertex; matching not maximum"
         )
-    if a1 & a2 or b1 & b2:
+    if not (a1.isdisjoint(a2) and b1.isdisjoint(b2)):
         raise InternalInvariantBroken(
             "reachable subsets intersect; matching not maximum"
         )
-    a3 = (cover & matched) - a1 - a2
-    b3 = (b & matched) - b1 - b2
+    a3 = cover.intersection(matched).difference(a1, a2)
+    b3 = b.intersection(matched).difference(b1, b2)
     partners = m.partner_map()
-    if {partners[a] for a in a1} != set(b1) or {partners[a] for a in a3} != set(b3):
+    if {partners[a] for a in a1} != b1 or {partners[a] for a in a3} != b3:
         raise InternalInvariantBroken("matching does not pair the subsets")
     return ReoptPartition(
         cover, b, m, a_unmatched, b_unmatched, a1, b1, a2, b2, a3, b3

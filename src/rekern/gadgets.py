@@ -37,7 +37,7 @@ from .graphs import (
 )
 from .instances import ReoptInstance
 from .oracles import membership
-from .problems import PROBLEMS, ProblemKind
+from .problems import PROBLEMS, Direction, ProblemKind
 from .setcover import SetCoverInstance
 
 __all__ = [
@@ -73,11 +73,9 @@ def build_extremal(problem: ProblemKind, k: int) -> Graph | Digraph:
 
 
 def _extremal_member(problem: ProblemKind, g: Graph | Digraph, k: int) -> bool:
-    # For treewidth the block is extremal with respect to the complement
-    # problem (width exceeding k); every other problem uses membership.
-    if problem is ProblemKind.TREEWIDTH:
-        return not membership(problem, g, k)
-    return membership(problem, g, k)
+    # A minimization block is extremal with respect to the complement
+    # problem (treewidth exceeding k); a maximization block uses membership.
+    return membership(problem, g, k) != (PROBLEMS[problem].direction is Direction.MIN)
 
 
 def _single_deletions(g: Graph | Digraph) -> list[Graph | Digraph]:
@@ -107,7 +105,8 @@ def is_extremal(
 ) -> bool:
     """Whether the block is a minimal yes-instance (every single deletion
     leaves the language) or a maximal one (every single edge addition
-    leaves it); membership is complement-flipped for treewidth blocks."""
+    leaves it).  For minimization problems (treewidth, vertex cover,
+    connected vertex cover) membership is complemented, as for critical graphs."""
     size = g.n
     if size > PROBLEMS[problem].size_guard + 2:
         raise OracleTooSlow(f"extremality check needs oracle calls at size {size}")

@@ -184,6 +184,13 @@ def check_modification(g: Graph, m: LocalModification) -> None:
         raise ModificationInvalid(f"unknown modification {m!r}")
 
 
+def _unchecked(n: int, edges: frozenset[Edge], labels: tuple[str, ...] | None) -> Graph:
+    """A graph made from a checked one by a checked change: not checked again."""
+    g = object.__new__(Graph)
+    g.__dict__.update(n=n, edges=edges, labels=labels)
+    return g
+
+
 def apply_modification(g: Graph, m: LocalModification) -> Graph:
     """Return the modified graph; ``g`` itself is untouched.
 
@@ -195,7 +202,7 @@ def apply_modification(g: Graph, m: LocalModification) -> Graph:
     check_modification(g, m)
     if isinstance(m, EdgeAdd):
         u, v = normalize_edge(m.u, m.v)
-        added = Graph(g.n, g.edges | {(u, v)}, g.labels)
+        added = _unchecked(g.n, g.edges | {(u, v)}, g.labels)
         adjacency = list(g.adjacency)
         adjacency[u] |= {v}
         adjacency[v] |= {u}
@@ -269,16 +276,15 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     if index_map and not (0 <= index_map[0] and index_map[-1] < g.n):
         for v in index_map:
             g._check_vertex(v)
-    back = {old: new for new, old in enumerate(index_map)}
-    # Re-indexing keeps the order of the vertices, so every edge stays
-    # normalized.
+    back = [-1] * g.n  # the new index of each chosen vertex
+    for new, old in enumerate(index_map):
+        back[old] = new
+    # Re-indexing keeps the vertex order, so every edge stays normalized.
     edges = frozenset(
-        (back[u], back[v]) for u, v in g.edges if u in back and v in back
+        (back[u], back[v]) for u, v in g.edges if back[u] >= 0 and back[v] >= 0
     )
-    labels = None
-    if g.labels is not None:
-        labels = tuple(g.labels[old] for old in index_map)
-    return Graph(len(index_map), edges, labels), index_map
+    labels = None if g.labels is None else tuple(g.labels[old] for old in index_map)
+    return _unchecked(len(index_map), edges, labels), index_map
 
 
 def component_of(g: Graph, at: int | Edge) -> tuple[Graph, tuple[int, ...]]:

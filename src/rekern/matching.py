@@ -14,7 +14,8 @@ edges inside ``side_b`` are likewise ignored.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import AbstractSet, Iterable, Mapping
 
 from .errors import SidesOverlap, TargetUnmatched
@@ -23,19 +24,24 @@ from .graphs import Edge, Graph, normalize_edge
 
 @dataclass(frozen=True)
 class Matching:
-    """A set of pairwise vertex-disjoint edges."""
+    """A set of pairwise vertex-disjoint edges; the constructor checks them
+    and builds the partner lookup in one pass."""
 
     pairs: frozenset[Edge]
+    _partners: dict[int, int] = field(init=False, repr=False, compare=False)
+    _partner_view: Mapping[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        seen: set[int] = set()
+        partners: dict[int, int] = {}
         for u, v in self.pairs:
-            if u == v or not (u < v):
+            if not u < v:
                 raise ValueError(f"pair {(u, v)} is not a normalized edge")
-            if u in seen or v in seen:
+            if u in partners or v in partners:
                 raise ValueError(f"pair {(u, v)} shares a vertex with another pair")
-            seen.add(u)
-            seen.add(v)
+            partners[u] = v
+            partners[v] = u
+        object.__setattr__(self, "_partners", partners)
+        object.__setattr__(self, "_partner_view", MappingProxyType(partners))
 
     @classmethod
     def of(cls, pairs: Iterable[Edge]) -> "Matching":
@@ -46,14 +52,11 @@ class Matching:
         return len(self.pairs)
 
     def vertices(self) -> frozenset[int]:
-        return frozenset(v for pair in self.pairs for v in pair)
+        return frozenset(self._partners)
 
-    def partner_map(self) -> dict[int, int]:
-        partners: dict[int, int] = {}
-        for u, v in self.pairs:
-            partners[u] = v
-            partners[v] = u
-        return partners
+    def partner_map(self) -> Mapping[int, int]:
+        """Each matched vertex's partner, as one read-only view per matching."""
+        return self._partner_view
 
 
 def greedy_matching(adjacency: Mapping[int, AbstractSet[int]]) -> Matching:
@@ -76,21 +79,15 @@ def greedy_matching(adjacency: Mapping[int, AbstractSet[int]]) -> Matching:
 
 
 def _check_sides(g: Graph, side_a: frozenset[int], side_b: frozenset[int]) -> None:
-    if side_a & side_b:
+    if not side_a.isdisjoint(side_b):
         raise SidesOverlap(f"sides share vertices {sorted(side_a & side_b)}")
-    both = side_a | side_b
-    if both:
-        g._check_vertex(min(both))
-        g._check_vertex(max(both))
+    for side in (side_a, side_b):
+        if side:
+            g._check_vertex(min(side))
+            g._check_vertex(max(side))
 
 
-def _cross_adjacency(
-    g: Graph, side_a: frozenset[int], side_b: frozenset[int]
-) -> dict[int, list[int]]:
-    """Neighbors in side_b of each side_a vertex, ascending."""
-    return {a: sorted(g.adjacency[a] & side_b) for a in sorted(side_a)}
-
-
+_A, _B = 1, 2  # side mask values; 0 marks a vertex on neither side
 _FREE = -1  # ``mate`` of an unmatched vertex
 _OFF = -1  # ``dist`` of a vertex outside the current phase's layered graph
 
@@ -122,7 +119,7 @@ def _live_roots(
 
 
 def _layer(
-    roots: list[int], adj: dict[int, list[int]], mate: list[int], dist: list[int]
+    roots: list[int], adj: list[list[int]], mate: list[int], dist: list[int]
 ) -> tuple[int | None, list[int]]:
     """Breadth-first layers of side A from the free roots, up to the first
     layer with a free B-neighbour.
@@ -160,7 +157,7 @@ def _layer(
 def _augment_from(
     root: int,
     limit: int,
-    adj: dict[int, list[int]],
+    adj: list[list[int]],
     mate: list[int],
     dist: list[int],
     pos: list[int],
@@ -216,10 +213,12 @@ def maximum_bipartite_matching(
     """
     a_set, b_set = frozenset(side_a), frozenset(side_b)
     _check_sides(g, a_set, b_set)
-    adj = _cross_adjacency(g, a_set, b_set)
+    adjacency = g.adjacency
+    adj: list[list[int]] = [[]] * g.n  # each A-vertex's side-B neighbours, ascending
     mate = [_FREE] * g.n
     for a in sorted(a_set, reverse=True):
-        for b in adj[a]:
+        adj[a] = nbrs = sorted(adjacency[a] & b_set)
+        for b in nbrs:
             if mate[b] == _FREE:
                 mate[a], mate[b] = b, a
                 break
@@ -237,7 +236,7 @@ def maximum_bipartite_matching(
             dist[a] = _OFF
             pos[a] = 0
         roots = [r for r in roots if mate[r] == _FREE]
-    return Matching.of((a, mate[a]) for a in a_set if mate[a] != _FREE)
+    return Matching(frozenset((v, w) for v, w in enumerate(mate) if v < w))
 
 
 def alternating_reachability(
@@ -259,28 +258,36 @@ def alternating_reachability(
     """
     a_set, b_set = frozenset(side_a), frozenset(side_b)
     _check_sides(g, a_set, b_set)
-    partners = m.partner_map()
     if start_side == "B":
-        near, far = b_set, a_set
+        near, near_side, far_side = b_set, _B, _A
     elif start_side == "A":
-        near, far = a_set, b_set
+        near, near_side, far_side = a_set, _A, _B
     else:
         raise ValueError("start_side must be 'A' or 'B'")
 
+    partners = m._partners
+    side = bytearray(g.n)  # the side mask; a reached vertex leaves its side
+    for a in a_set:
+        side[a] = _A
+    for b in b_set:
+        side[b] = _B
     adjacency = g.adjacency
     # A partner is matched, so it is never one of the unmatched starts.
-    frontier = [v for v in near if v not in partners]
-    seen_far: set[int] = set()
-    seen_near: set[int] = set()
+    frontier = list(near.difference(partners))
+    reached_far: list[int] = []
+    reached_near: list[int] = []
     while frontier:
-        for y in (adjacency[frontier.pop()] & far) - seen_far:
-            seen_far.add(y)
-            partner = partners.get(y)
-            if partner is not None and partner in near and partner not in seen_near:
-                seen_near.add(partner)
-                frontier.append(partner)
-    reached_a = frozenset(seen_far if start_side == "B" else seen_near)
-    reached_b = frozenset(seen_near if start_side == "B" else seen_far)
+        for y in adjacency[frontier.pop()]:
+            if side[y] == far_side:
+                side[y] = 0
+                reached_far.append(y)
+                partner = partners.get(y)
+                if partner is not None and side[partner] == near_side:
+                    side[partner] = 0
+                    reached_near.append(partner)
+                    frontier.append(partner)
+    reached_a = frozenset(reached_far if start_side == "B" else reached_near)
+    reached_b = frozenset(reached_near if start_side == "B" else reached_far)
     return reached_a, reached_b
 
 
@@ -300,7 +307,7 @@ def rematch_to_expose(
     """
     a_set, b_set = frozenset(side_a), frozenset(side_b)
     _check_sides(g, a_set, b_set)
-    partners = m.partner_map()
+    partners = m._partners
     if target not in partners or target not in b_set:
         raise TargetUnmatched(f"vertex {target} is not a matched side-B vertex")
 

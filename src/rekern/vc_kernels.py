@@ -5,6 +5,10 @@ Both take their crowns from a ``crown.ReoptPartition``: the classic one
 through the crown lemma, the reoptimization one from a known vertex cover
 ``A`` of the original graph, repairing one of the two canonical crowns
 after the new edge lands inside the independent rest ``B``.
+
+The reoptimization kernel runs on the input graph itself, with one
+partner lookup per matching: an isolated vertex leaves the cover and so
+falls into the crown.  The classic kernel strips isolated vertices.
 """
 
 from __future__ import annotations
@@ -47,27 +51,14 @@ from .problems import ProblemKind
 def build_reopt_partition(g: Graph, cover_a: frozenset[int] | set[int]) -> ReoptPartition:
     """Partition ``A`` and ``B`` around a maximum matching between them."""
     cover = frozenset(cover_a)
-    for v in cover:
-        g._check_vertex(v)
+    if cover and not (0 <= min(cover) and max(cover) < g.n):
+        for v in cover:
+            g._check_vertex(v)
     if not is_vertex_cover(g, cover):
         raise NotACover("the given set does not cover every edge")
     b = frozenset(g.vertices) - cover
     m = maximum_bipartite_matching(g, cover, b)
     return _partition_from_matching(g, cover, m)
-
-
-def _strip_isolated(g: Graph) -> tuple[Graph, dict[int, int]]:
-    """``g`` without its isolated vertices, and the map from old to new
-    indices; ``g`` itself with the identity map when none is isolated.
-
-    The kept vertices are the edges' endpoints, so a kernel's residual
-    graph is stripped without building its adjacency.
-    """
-    keep = set(chain.from_iterable(g.edges))
-    if len(keep) == g.n:
-        return g, {v: v for v in range(g.n)}
-    sub, idx = induced_subgraph(g, keep)
-    return sub, {old: new for new, old in enumerate(idx)}
 
 
 # --- classic crown kernel ---------------------------------------------------
@@ -92,7 +83,11 @@ def vc_kernelize_3k(g: Graph, k: int) -> KernelResult:
     """Crown-lemma kernel: decide, or reduce to at most 3k vertices."""
     cur, budget = g, k
     while True:
-        cur, _ = _strip_isolated(cur)
+        # Drop isolated vertices: keep the edges' endpoints, so a residual
+        # graph is stripped without building its adjacency.
+        keep = set(chain.from_iterable(cur.edges))
+        if len(keep) < cur.n:
+            cur, _ = induced_subgraph(cur, keep)
         if budget < 0:
             return KernelResult.decided(False)
         if cur.n == 0:
@@ -159,16 +154,14 @@ def _reduce_with_cover(
     h: Graph, cover: frozenset[int], budget: int, claim: int, branch: str, trace: list[str]
 ) -> ReoptVcReport:
     """Standard crown reduction of an unmodified graph with a known cover."""
-    stripped, forward = _strip_isolated(h)
-    live_cover = frozenset(forward[v] for v in cover if v in forward)
     if budget < 0:
         return ReoptVcReport(KernelResult.decided(False), branch, tuple(trace))
-    if stripped.n == 0:
+    if not h.edges:
         return ReoptVcReport(KernelResult.decided(True), branch, tuple(trace))
-    part = build_reopt_partition(stripped, live_cover)
+    part = build_reopt_partition(h, frozenset(w for w in cover if h.adjacency[w]))
     crown, head, rest = part.crown_c2()
     return _finish(
-        stripped, crown, head, rest, part.saturating(head), budget, claim, branch, trace
+        h, crown, head, rest, part.saturating(head), budget, claim, branch, trace
     )
 
 
@@ -227,12 +220,10 @@ def reopt_vc_kernelize_2k_report(inst: ReoptInstance) -> ReoptVcReport:
         )
 
     # Main branch: the new edge joins two non-isolated vertices of B.
-    stripped, forward = _strip_isolated(g)
-    live_cover = frozenset(forward[w] for w in cover if w in forward)
-    su, sv = forward[u], forward[v]
-    k_bound = len(live_cover)
-    modified = apply_modification(stripped, EdgeAdd(su, sv))
-    part = build_reopt_partition(stripped, live_cover)
+    modified = apply_modification(g, inst.modification)
+    live = frozenset(w for w in cover if g.adjacency[w])  # a cover: checked above
+    m = maximum_bipartite_matching(g, live, frozenset(g.vertices) - live)
+    part = _partition_from_matching(g, live, m)
     branch = ""
 
     # Three rounds always suffice.  Case 4 exposes x; the other endpoint
@@ -241,8 +232,8 @@ def reopt_vc_kernelize_2k_report(inst: ReoptInstance) -> ReoptVcReport:
     # unmatched blocker, so both ends are then unmatched and the next
     # round is case 2.  case5-rematch-v leads the same way as case 4.
     for _ in range(3):
-        _check_partition_bounds(stripped, part, k_bound)
-        ru, rv = _region(part, su), _region(part, sv)
+        _check_partition_bounds(g, part)
+        ru, rv = _region(part, u), _region(part, v)
         regions = {ru, rv}
 
         if regions == {"B23"}:
@@ -257,7 +248,7 @@ def reopt_vc_kernelize_2k_report(inst: ReoptInstance) -> ReoptVcReport:
         if regions == {"BU"}:
             branch = branch or "case2"
             trace.append("case2")
-            x, y = min(su, sv), max(su, sv)
+            x, y = min(u, v), max(u, v)
             c1, h1, r1 = part.crown_c1()
             head = h1 | {x}
             crown = c1 - {x}
@@ -271,7 +262,7 @@ def reopt_vc_kernelize_2k_report(inst: ReoptInstance) -> ReoptVcReport:
         if regions == {"BU", "B23"}:
             branch = branch or "case3"
             trace.append("case3")
-            x = su if ru == "BU" else sv
+            x = u if ru == "BU" else v
             c2, h2, r2 = part.crown_c2()
             return _finish(
                 modified, c2 - {x}, h2, r2 | {x}, part.saturating(h2),
@@ -280,25 +271,25 @@ def reopt_vc_kernelize_2k_report(inst: ReoptInstance) -> ReoptVcReport:
 
         # Cases 4 and 5: an endpoint in B1 loses its partner by flipping
         # one alternating path, and the dispatch starts over.
-        x = su if ru == "B1" else sv
+        x = u if ru == "B1" else v
         forbidden = None
         if regions == {"B1", "B23"}:
             branch = branch or "case4"
             target, marker = x, "case4"
         elif regions == {"B1"}:
             branch = branch or "case5"
-            target, marker = max(su, sv), "case5-rematch-v"
+            target, marker = max(u, v), "case5-rematch-v"
         else:  # regions == {"B1", "BU"}: the escape must avoid the other end
             branch = branch or "case5"
-            forbidden = sv if x == su else su
+            forbidden = v if x == u else u
             target, marker = x, "case5-rematch-u"
         rematched = rematch_to_expose(
-            stripped, part.cover, part.independent, part.matching, target,
+            g, part.cover, part.independent, part.matching, target,
             forbidden=forbidden,
         )
         if rematched is not None:
             trace.append(marker)
-            part = _partition_from_matching(stripped, part.cover, rematched)
+            part = _partition_from_matching(g, part.cover, rematched)
             continue
         if forbidden is None:
             raise InternalInvariantBroken(
@@ -312,7 +303,7 @@ def reopt_vc_kernelize_2k_report(inst: ReoptInstance) -> ReoptVcReport:
         trace.append("case5-degenerate")
         y = forbidden
         _, still_reached = alternating_reachability(
-            stripped, part.cover, part.independent - {y}, part.matching, "B"
+            g, part.cover, part.independent - {y}, part.matching, "B"
         )
         b_v = part.b1 - still_reached
         partners = part.matching.partner_map()
@@ -344,11 +335,12 @@ def _region(part: ReoptPartition, x: int) -> str:
     raise InternalInvariantBroken(f"endpoint {x} is not in B")
 
 
-def _check_partition_bounds(g: Graph, part: ReoptPartition, k_bound: int) -> None:
-    """After isolated-vertex stripping, the second crown always leaves at
-    most 2k - 2 vertices outside crown and head when the graph is larger
-    than 2k."""
-    if g.n <= 2 * k_bound:
+def _check_partition_bounds(g: Graph, part: ReoptPartition) -> None:
+    """With a cover of k vertices, each with an edge, the second crown leaves
+    at most 2k - 2 vertices outside crown and head when more than 2k
+    vertices have an edge; the isolated ones all lie in the crown."""
+    k_bound = len(part.cover)
+    if g.n - g.adjacency.count(frozenset()) <= 2 * k_bound:
         return
     c2, _, r2 = part.crown_c2()
     if len(c2) < g.n - 2 * k_bound + 1:

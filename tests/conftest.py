@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import combinations
 
@@ -27,3 +28,25 @@ def absent_pairs(g: Graph):
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0FFEE)
+
+
+def planted_cover_document(n: int, seed: int) -> str:
+    """A vertex cover document on ``n`` vertices: a planted cover A of
+    n / 3 vertices, each other vertex adjacent to one to three of them,
+    and an edge added between two vertices outside A."""
+    rng = random.Random(seed)
+    side_a = list(range(n // 3))
+    edges = sorted(
+        {(a, b) for b in range(n // 3, n) for a in rng.sample(side_a, rng.randint(1, 3))}
+    )
+    return json.dumps(
+        {
+            "format": "rekern-instance",
+            "version": 1,
+            "problem": "vertex_cover",
+            "graph": {"n": n, "edges": edges, "labels": [f"v{i}" for i in range(n)]},
+            "k": len(side_a),
+            "witness": side_a,
+            "modification": {"op": "edge_add", "u": n - 2, "v": n - 1},
+        }
+    )

@@ -11,35 +11,13 @@ from __future__ import annotations
 
 import gc
 import json
-import random
 
 import pytest
 
 from rekern.cli import run_command
+from tests.conftest import planted_cover_document
 
 MODES = ("reopt2k", "classic3k")
-
-
-def _planted_document(n: int, seed: int) -> str:
-    """A vertex cover document on ``n`` vertices: a planted cover A of
-    n / 3 vertices, each other vertex adjacent to one to three of them,
-    and an edge added between two vertices outside A."""
-    rng = random.Random(seed)
-    side_a = list(range(n // 3))
-    edges = sorted(
-        {(a, b) for b in range(n // 3, n) for a in rng.sample(side_a, rng.randint(1, 3))}
-    )
-    return json.dumps(
-        {
-            "format": "rekern-instance",
-            "version": 1,
-            "problem": "vertex_cover",
-            "graph": {"n": n, "edges": edges, "labels": [f"v{i}" for i in range(n)]},
-            "k": len(side_a),
-            "witness": side_a,
-            "modification": {"op": "edge_add", "u": n - 2, "v": n - 1},
-        }
-    )
 
 
 def _kernelize(mode: str, path, capsys) -> int:
@@ -53,7 +31,7 @@ def test_paused_kernelize_leaves_garbage_that_does_not_grow(mode, tmp_path, caps
     paths = {}
     for n in (30, 200, 5_000):
         paths[n] = tmp_path / f"planted_{n}.json"
-        paths[n].write_text(_planted_document(n, seed=n))
+        paths[n].write_text(planted_cover_document(n, seed=n))
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -70,7 +48,7 @@ def test_paused_kernelize_leaves_garbage_that_does_not_grow(mode, tmp_path, caps
 
 
 def _failing_documents():
-    base = json.loads(_planted_document(30, seed=1))
+    base = json.loads(planted_cover_document(30, seed=1))
     malformed = {**base, "k": "ten"}
     not_a_cover = {**base, "witness": [0]}
     return {"exit-2": (malformed, 2), "exit-4": (not_a_cover, 4)}

@@ -416,6 +416,41 @@ def test_cli_verify_kernel_equivalence(tmp_path, capsys):
     assert code == 4
 
 
+def test_cli_verify_kernel_equivalence_modifies_only_a_graph(tmp_path, capsys):
+    """The document's modification is applied to a graph payload before the
+    check; a problem on a digraph cannot take one, whatever graph the
+    document also carries."""
+    res_path = tmp_path / "res.json"
+    res_path.write_text(formats.emit_result(KernelResult.decided(False)))
+    inst_path = tmp_path / "inst.json"
+
+    def verify(doc):
+        inst_path.write_text(formats.emit_instance(doc))
+        return run_cli(
+            capsys, "verify", "kernel-equivalence",
+            "--input", str(inst_path), "--result", str(res_path),
+        )
+
+    # Closing the path 0-1-2 into a triangle lifts its cover number to 2.
+    code, out = verify(
+        formats.InstanceDocument(
+            problem=PK.VERTEX_COVER, graph=path_graph(3), k=1,
+            modification=EdgeAdd(0, 2),
+        )
+    )
+    assert code == 0 and json.loads(out)["equivalent"] is True
+    code, out = verify(
+        formats.InstanceDocument(
+            problem=PK.LEAF_OUT_TREE,
+            digraph=Digraph.from_arcs(3, [(0, 1), (0, 2)]),
+            graph=path_graph(3),
+            k=2,
+            modification=EdgeAdd(0, 2),
+        )
+    )
+    assert (code, out) == (2, "")
+
+
 def test_cli_size_guard_exit_code(tmp_path, capsys):
     big = Graph.from_edges(25, [(i, i + 1) for i in range(24)])
     path = tmp_path / "big.json"

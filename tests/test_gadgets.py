@@ -59,6 +59,23 @@ def test_is_extremal_canonical_blocks():
         assert is_extremal(build_extremal(PK.TREEWIDTH, k), PK.TREEWIDTH, k)
 
 
+def test_is_extremal_flips_every_minimization_problem():
+    # For a minimization problem a block is extremal when it lies outside
+    # the language and every single deletion brings it back in: K2 at k = 0
+    # and C5 at k = 2 are vertex-cover-critical, while deleting an edge of
+    # C4 or P3 leaves its cover number unchanged.
+    vc, cvc = PK.VERTEX_COVER, PK.CONNECTED_VERTEX_COVER
+    assert is_extremal(complete_graph(2), vc, 0)
+    assert is_extremal(cycle_graph(5), vc, 2)
+    assert not is_extremal(cycle_graph(4), vc, 1)
+    assert not is_extremal(path_graph(3), vc, 0)
+    assert not is_extremal(complete_graph(2), vc, 1)  # a yes-instance
+    assert is_extremal(complete_graph(2), cvc, 0)
+    # C5 minus an edge is P5, whose connected cover still needs 3 vertices
+    assert not is_extremal(cycle_graph(5), cvc, 2)
+    assert not is_extremal(path_graph(3), cvc, 0)
+
+
 def test_is_extremal_maximal_mode():
     # K_k is also a maximal yes-instance for clique at k when nothing can
     # be added; a graph with an absent edge whose addition creates K_{k+1}

@@ -1,4 +1,9 @@
+import hashlib
+import json
+import random
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +15,9 @@ from rekern.matching import (
     maximum_bipartite_matching,
     rematch_to_expose,
 )
+
+
+MATCHING_PINS = Path(__file__).with_name("data") / "matching_pairs_sha256.json"
 
 
 def brute_max_matching(g: Graph, side_a: set[int], side_b: set[int]) -> int:
@@ -308,3 +316,77 @@ def test_crowns_do_not_depend_on_which_maximum_matching():
             checked += 1
             differing += ours != theirs
     assert checked > 3000 and differing > 1000
+
+
+def test_partner_map_is_built_once_per_matching():
+    m = Matching.of([(2, 0), (1, 3)])
+    assert m.partner_map() is m.partner_map()
+    assert m.partner_map() == {0: 2, 2: 0, 1: 3, 3: 1}
+    assert m.vertices() == {0, 1, 2, 3}
+    assert m == Matching.of([(0, 2), (1, 3)]) and hash(m) == hash(Matching(m.pairs))
+    # the shared lookup is read-only, so no caller can change the matching
+    with pytest.raises(TypeError):
+        m.partner_map()[0] = 1  # type: ignore[index]
+    assert m.vertices() == {0, 1, 2, 3}
+
+
+# --- pinned Hopcroft-Karp ties -------------------------------------------------
+
+
+def _planted_cover(n: int, seed: int) -> tuple[Graph, range, range]:
+    """A cover A of the first n / 3 vertices, each later vertex joined to
+    one to three of them, and n / 10 random edges inside A."""
+    rng = random.Random(seed)
+    a_side = range(n // 3)
+    edges = {
+        (a, b) for b in range(n // 3, n) for a in rng.sample(a_side, rng.randint(1, 3))
+    }
+    edges |= {tuple(sorted(rng.sample(a_side, 2))) for _ in range(n // 10)}
+    return Graph.from_edges(n, edges), a_side, range(n // 3, n)
+
+
+def _staircase(a_side: int, leaf_at: int) -> tuple[Graph, range, range]:
+    """A-vertex i is joined to B-vertices i - 1 and i, and one more B leaf
+    hangs off A-vertex ``leaf_at``: augmenting paths as long as the chain."""
+    edges = [(i, a_side + i) for i in range(a_side)]
+    edges += [(i, a_side + i - 1) for i in range(1, a_side)]
+    edges.append((leaf_at, 2 * a_side))
+    n = 2 * a_side + 1
+    return Graph.from_edges(n, edges), range(a_side), range(a_side, n)
+
+
+def pinned_matching_cases() -> dict[str, tuple[Graph, range, range]]:
+    cases = {
+        f"planted-{n}-seed{seed}": _planted_cover(n, seed)
+        for n, seed in ((2000, 1), (3000, 2), (4000, 3), (5000, 4))
+    }
+    cases["staircase-600"] = _staircase(600, 590)
+    return cases
+
+
+def _matching_pin(m: Matching) -> dict[str, object]:
+    pairs = json.dumps(sorted(m.pairs)).encode()
+    return {"size": m.size, "sha256": hashlib.sha256(pairs).hexdigest()}
+
+
+def matching_pins() -> dict[str, dict[str, object]]:
+    return {
+        name: _matching_pin(maximum_bipartite_matching(g, a, b))
+        for name, (g, a, b) in pinned_matching_cases().items()
+    }
+
+
+def test_matching_pairs_match_the_pinned_ties():
+    """Hopcroft-Karp picks the same pairs as the version that wrote
+    ``tests/data/matching_pairs_sha256.json``, not just a matching of the
+    same size."""
+    pinned = json.loads(MATCHING_PINS.read_text())
+    actual = matching_pins()
+    assert sorted(actual) == sorted(pinned)
+    for name, pin in pinned.items():
+        assert actual[name] == pin, name
+
+
+if __name__ == "__main__":
+    MATCHING_PINS.write_text(json.dumps(matching_pins(), indent=1) + "\n")
+    sys.stdout.write(f"wrote {MATCHING_PINS}\n")

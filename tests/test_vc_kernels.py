@@ -304,7 +304,120 @@ def test_reopt_non_tight_witness(rng):
     assert checked > 80
 
 
+def test_reopt_isolated_vertices_only_relabel_the_kernel(rng):
+    """Isolated vertices inserted anywhere, inside the witness or outside
+    it, leave the 2k kernel's branch, trace, parameter and residual graph
+    as they were: the residual keeps every vertex's label, and no inserted
+    vertex reaches it."""
+    from rekern.smallgraphs import random_graph
+    from tests.conftest import absent_pairs
+
+    branches = set()
+    joined_total = 0
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(3, 9), rng.uniform(0.15, 0.5))
+        absent = absent_pairs(g)
+        if not absent:
+            continue
+        labelled = Graph(g.n, g.edges, tuple(f"v{w}" for w in g.vertices))
+        cover = set(solve_exact(PK.VERTEX_COVER, g).witness)
+        cover |= {w for w in g.vertices if rng.random() < 0.2}
+        k = len(cover) + rng.randint(0, 2)
+        k2 = rng.randint(max(0, len(cover) - 1), k)
+        outside = [e for e in absent if not cover.intersection(e)]
+        u, v = rng.choice(outside if outside and rng.random() < 0.8 else absent)
+        before = reopt_vc_kernelize_2k_report(
+            vc_instance(labelled, k, frozenset(cover), u, v, k2=k2)
+        )
+
+        n = g.n + rng.randint(1, 3)
+        inserted = sorted(rng.sample(range(n), n - g.n))
+        kept = [w for w in range(n) if w not in inserted]  # new index of old vertex
+        labels = [f"v{kept.index(w)}" if w in kept else f"iso{w}" for w in range(n)]
+        grown = Graph.from_edges(n, [(kept[a], kept[b]) for a, b in g.edges], labels)
+        # The trivial branch compares the whole witness with k', so inserted
+        # vertices join the witness only on the other branches.
+        room = 0 if before.branch == "trivial" else k - len(cover)
+        joined = rng.sample(inserted, min(room, rng.randint(0, len(inserted))))
+        witness = frozenset(kept[w] for w in cover) | set(joined)
+        after = reopt_vc_kernelize_2k_report(
+            vc_instance(grown, k, witness, kept[u], kept[v], k2=k2)
+        )
+        assert after == before, (g, cover, (u, v), inserted, joined)
+        branches.add(before.branch)
+        joined_total += len(joined)
+    assert branches == {
+        "trivial", "isolated-leaf", "case1", "case2", "case3", "case4", "case5"
+    }
+    assert joined_total > 50
+
+
 def test_reopt_determinism():
     g = Graph.from_edges(5, [(0, 2), (0, 3), (1, 4)])
     inst = vc_instance(g, 2, frozenset({0, 1}), 3, 4)
     assert reopt_vc_kernelize_2k(inst) == reopt_vc_kernelize_2k(inst)
+
+
+# --- at scale -------------------------------------------------------------------
+
+
+def _cover_number(edges: list[tuple[int, int]], in_a) -> int:
+    """Cover number of a bipartite graph between ``in_a`` and the other
+    vertices plus at most one edge among the others: an endpoint of that
+    edge is in every cover, and what is left is bipartite (König)."""
+    import networkx as nx
+
+    def konig(kept):
+        h = nx.Graph(kept)
+        top = [w for w in h if in_a(w)]
+        return len(nx.bipartite.hopcroft_karp_matching(h, top_nodes=top)) // 2
+
+    inside = [e for e in edges if not in_a(e[0]) and not in_a(e[1])]
+    if not inside:
+        return konig(edges)
+    ((x, y),) = inside
+    return 1 + min(konig([e for e in edges if w not in e]) for w in (x, y))
+
+
+@pytest.mark.slow
+def test_both_kernel_modes_on_a_planted_cover_of_100000_vertices(tmp_path, capsys):
+    """The 2k kernel of the 10^5-vertex planted-cover document and the 3k'
+    kernel of its modified graph, through ``run_command``: both exit 0,
+    meet their bounds, and answer as König's theorem does."""
+    import json
+
+    from rekern.cli import run_command
+    from tests.conftest import planted_cover_document
+
+    n = 100_000
+    reopt = json.loads(planted_cover_document(n, seed=1))
+    k = reopt["k"]
+    added = (reopt["modification"]["u"], reopt["modification"]["v"])
+    modified = sorted(map(tuple, reopt["graph"]["edges"])) + [added]
+    classic = {**reopt, "graph": {**reopt["graph"], "edges": modified}}
+    del classic["witness"], classic["modification"]
+    truth = _cover_number(modified, lambda w: w < n // 3) <= k
+
+    def kernelize(mode, doc):
+        path = tmp_path / f"{mode}.json"
+        path.write_text(json.dumps(doc))
+        code = run_command(["kernelize", "vc", "--mode", mode, "--input", str(path)])
+        assert code == 0, mode
+        return json.loads(capsys.readouterr().out)
+
+    def answer(result):
+        if result["kind"] == "decided":
+            return result["answer"]
+        graph = result["graph"]
+        # Each kernel vertex keeps the label "v<input index>".
+        in_a = [int(label[1:]) < n // 3 for label in graph["labels"]]
+        edges = [tuple(e) for e in graph["edges"]]
+        return _cover_number(edges, in_a.__getitem__) <= result["parameter"]
+
+    out2 = kernelize("reopt2k", reopt)
+    out3 = kernelize("classic3k", classic)
+    if out2["kind"] == "reduced":
+        assert out2["graph"]["n"] <= 2 * k
+    if out3["kind"] == "reduced":
+        assert out3["graph"]["n"] <= 3 * k
+    assert answer(out2) is truth and answer(out3) is truth
