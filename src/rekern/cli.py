@@ -162,11 +162,9 @@ def _cmd_reopt(args: argparse.Namespace) -> int:
 
 def _cmd_gadget(args: argparse.Namespace) -> int:
     if args.builder == "setcover-cvc":
-        sc = SetCoverInstance.of(
-            args.universe,
-            [set(json.loads(member)) for member in args.family],
-            args.k,
-        )
+        with formats.as_parse_error("--family"):
+            family = [formats._json_ints(json.loads(m), "--family") for m in args.family]
+        sc = SetCoverInstance.of(args.universe, family, args.k)
         gadget = build_setcover_cvc(sc)
         inst = gadget.reopt_instance()
         doc = formats.InstanceDocument(

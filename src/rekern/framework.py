@@ -28,7 +28,6 @@ from .graphs import (
     components,
     disjoint_union,
     induced_subgraph,
-    path_graph,
 )
 from .instances import KernelResult, ReoptInstance, as_concrete_instance
 from .oracles import membership, verify_solution
@@ -96,33 +95,24 @@ def exact_component_kernelizer(kind: ProblemKind) -> ComponentKernelizer:
 def environment(
     g_before: Graph, m: LocalModification
 ) -> list[tuple[Graph, tuple[int, ...]]]:
-    """Components of the modified graph touched by the modification.
-
-    Additions yield the single component containing the new edge or
-    vertex; an edge deletion the one or two components of its former
-    endpoints; a vertex deletion every component meeting the deleted
-    vertex's former neighborhood.
-    """
+    """Components of the modified graph that hold a touched vertex, ordered
+    by smallest vertex: the new edge's ends or new vertex of an addition,
+    the ends of a deleted edge, or the neighbours of a deleted vertex.
+    Each is found by one walk from the first touched vertex it holds."""
     g_after = apply_modification(g_before, m)
-    if isinstance(m, EdgeAdd):
-        return [component_of(g_after, m.u)]
-    if isinstance(m, VertexAdd):
-        return [component_of(g_after, g_before.n)]
-    if isinstance(m, EdgeDel):
-        envs = [component_of(g_after, m.u)]
-        if m.v not in envs[0][1]:
-            envs.append(component_of(g_after, m.v))
-        return envs
-    # VertexDel: indices above the deleted vertex shift down by one.
-    neighbors = sorted(g_before.adjacency[m.v])
-    mapped = [w if w < m.v else w - 1 for w in neighbors]
+    if isinstance(m, (EdgeAdd, EdgeDel)):
+        touched = [m.u, m.v]
+    elif isinstance(m, VertexAdd):
+        touched = [g_before.n]
+    else:  # VertexDel: indices above the deleted vertex shift down by one
+        touched = [w if w < m.v else w - 1 for w in g_before.adjacency[m.v]]
     envs = []
     seen: set[int] = set()
-    for comp in components(g_after):
-        if seen.isdisjoint(comp) and any(w in comp for w in mapped):
-            seen.update(comp)
-            envs.append(induced_subgraph(g_after, comp))
-    return envs
+    for v in touched:
+        if v not in seen:
+            envs.append(component_of(g_after, v))
+            seen.update(envs[-1][1])
+    return sorted(envs, key=lambda env: env[1][0])
 
 
 _SUPPORTED = {
@@ -191,11 +181,12 @@ def compositional_reopt_kernelize(
             f"{spec.name} ({key[0].value}, {key[1].value}) does not support "
             f"{type(inst.modification).__name__}"
         )
+    parts = None
     if isinstance(inst.modification, VertexDel):
-        envs = environment(inst.original, inst.modification)
-        if len(envs) > max_env_components:
+        parts = environment(inst.original, inst.modification)
+        if len(parts) > max_env_components:
             raise DegreeTooHigh(
-                f"vertex deletion split into {len(envs)} components, "
+                f"vertex deletion split into {len(parts)} components, "
                 f"bound is {max_env_components}"
             )
     or_mode = spec.compositionality is Compositionality.OR
@@ -206,7 +197,6 @@ def compositional_reopt_kernelize(
     if inst.witness is None:
         if not or_mode:
             return KernelResult.decided(False)
-        parts = environment(inst.original, inst.modification)
     elif inst.k_modified != inst.k or (
         or_mode and not _avoids(inst.witness, inst.modification)
     ):
@@ -216,7 +206,7 @@ def compositional_reopt_kernelize(
         parts = [induced_subgraph(modified, c) for c in components(modified)]
     elif or_mode:
         return KernelResult.decided(True)
-    else:
+    if parts is None:
         parts = environment(inst.original, inst.modification)
     results = [ck.run(comp, inst.k_modified) for comp, _ in parts]
     return _combine(results, or_mode)
@@ -233,15 +223,6 @@ def _avoids(witness: Any, m: LocalModification) -> bool:
     if isinstance(m, VertexDel):
         return m.v not in named
     return not (m.u in named and m.v in named)
-
-
-def canonical_ivst_yes_instance(k: int) -> Graph:
-    """Path on k + 2 vertices: the smallest tree with k internal vertices.
-
-    For k = 1 this has 3 > 2k vertices; the 2k bound on trivial yes
-    instances only holds from k >= 2 on.
-    """
-    return path_graph(k + 2)
 
 
 def ivst_reopt_kernelize_eplus(
@@ -264,12 +245,10 @@ def ivst_reopt_kernelize_eplus(
     ):
         raise SpecModificationMismatch("expected an IVST instance under edge addition")
     if prior_kernel is not None:
-        comp, _ = component_of(inst.modified, inst.modification.u)
-        env_kernel, env_param = as_concrete_instance(ck.run(comp, inst.k_modified))
+        [(comp, _)] = environment(inst.original, inst.modification)
+        env_kernel, _ = as_concrete_instance(ck.run(comp, inst.k_modified))
         union = disjoint_union(prior_kernel, env_kernel)
-        return KernelResult.reduced(
-            union, inst.k_modified, size_bound_claim=union.n
-        )
+        return KernelResult.reduced(union, inst.k_modified, size_bound_claim=union.n)
     return compositional_reopt_kernelize(inst, builtin_spec(ProblemKind.IVST), ck)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Callable
 
 from .errors import (
     OracleTooSlow,
@@ -51,6 +52,39 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True)
+class _Block:
+    """A kind's block at k, whether it is a path, and its own solution shifted
+    into the glued instance (``None``: no negative construction)."""
+
+    build: Callable[[int], Graph | Digraph]
+    path: bool = False
+    witness: Callable[[Graph, int], object] | None = None
+    extremal: bool = True
+
+
+_BLOCKS: dict[ProblemKind, _Block] = {
+    ProblemKind.IVST: _Block(
+        lambda k: path_graph(k + 2),
+        True,
+        lambda b, s: frozenset((u + s, v + s) for u, v in b.edges),
+    ),
+    ProblemKind.LONGEST_PATH: _Block(  # the path of length k, glued but not extremal
+        lambda k: path_graph(k + 1), True, lambda b, s: tuple(range(s, s + b.n)), False
+    ),
+    ProblemKind.CLIQUE: _Block(
+        complete_graph, False, lambda b, s: frozenset(range(s, s + b.n))
+    ),
+    # AND-compositional construction starts from a no-instance
+    ProblemKind.TREEWIDTH: _Block(
+        lambda k: complete_graph(k + 2), False, lambda b, s: None
+    ),
+    ProblemKind.LEAF_OUT_TREE: _Block(
+        lambda k: Digraph.from_arcs(k + 1, [(0, i) for i in range(1, k + 1)])
+    ),
+}
+
+
 def build_extremal(problem: ProblemKind, k: int) -> Graph | Digraph:
     """The canonical extremal block for a problem at parameter k.
 
@@ -61,15 +95,10 @@ def build_extremal(problem: ProblemKind, k: int) -> Graph | Digraph:
     """
     if k < 1:
         raise UnsupportedProblem("extremal blocks need k >= 1")
-    if problem is ProblemKind.IVST:
-        return path_graph(k + 2)
-    if problem is ProblemKind.CLIQUE:
-        return complete_graph(k)
-    if problem is ProblemKind.TREEWIDTH:
-        return complete_graph(k + 2)
-    if problem is ProblemKind.LEAF_OUT_TREE:
-        return Digraph.from_arcs(k + 1, [(0, i) for i in range(1, k + 1)])
-    raise UnsupportedProblem(f"no extremal construction for {problem}")
+    row = _BLOCKS.get(problem)
+    if row is None or not row.extremal:
+        raise UnsupportedProblem(f"no extremal construction for {problem}")
+    return row.build(k)
 
 
 def _extremal_member(problem: ProblemKind, g: Graph | Digraph, k: int) -> bool:
@@ -131,43 +160,6 @@ def is_extremal(
 # --- negative reoptimization instances (deletions on glued blocks) -----------
 
 
-def _block_witness(problem: ProblemKind, block: Graph, shift: int) -> object | None:
-    """The block's own solution, expressed in glued-instance indices."""
-    if problem is ProblemKind.TREEWIDTH:
-        return None  # AND-compositional construction starts from a no-instance
-    if problem is ProblemKind.IVST:
-        return frozenset(
-            normalize_edge(u + shift, v + shift) for u, v in block.edges
-        )
-    if problem is ProblemKind.LONGEST_PATH:
-        return tuple(range(shift, shift + block.n))
-    if problem is ProblemKind.CLIQUE:
-        return frozenset(range(shift, shift + block.n))
-    raise UnsupportedCombination(f"no block witness for {problem}")
-
-
-def _block_deletion(
-    problem: ProblemKind, block: Graph, shift: int, mode: str
-) -> LocalModification:
-    if mode == "edge":
-        if not block.edges:
-            raise UnsupportedCombination(
-                f"the {problem.value} block at this parameter has no edge to delete"
-            )
-        if problem in (ProblemKind.IVST, ProblemKind.LONGEST_PATH):
-            # middle edge of the path block
-            mid = (block.n - 1) // 2
-            return EdgeDel(shift + mid, shift + mid + 1)
-        u, v = min(block.edges)
-        return EdgeDel(shift + u, shift + v)
-    if mode == "vertex":
-        if problem in (ProblemKind.IVST, ProblemKind.LONGEST_PATH):
-            # lowest-index internal path vertex
-            return VertexDel(shift + 1)
-        return VertexDel(shift)
-    raise UnsupportedCombination(f"unknown deletion mode {mode!r}")
-
-
 def build_negative_reopt_instance(
     problem: ProblemKind, g: Graph, k: int, mode: str = "edge"
 ) -> ReoptInstance:
@@ -177,21 +169,30 @@ def build_negative_reopt_instance(
     OR-compositional comonotone problems glue their minimal yes-blocks;
     treewidth glues K_{k+2} with no witness.  The modified instance is a
     member iff (g, k) is, which is what makes these constructions
-    hardness-preserving.
+    hardness-preserving.  A path block loses its middle edge or its
+    lowest-index internal vertex, any other block its smallest edge or
+    its first vertex.
     """
     if k < 0:
         raise PreconditionViolated("k must be a natural number")
-    if problem is ProblemKind.LONGEST_PATH:
-        block = path_graph(k + 1)  # path of length k
-    elif problem in (ProblemKind.IVST, ProblemKind.CLIQUE, ProblemKind.TREEWIDTH):
-        block = build_extremal(problem, k)
-    else:
+    row = _BLOCKS.get(problem)
+    if row is None or row.witness is None:
         raise UnsupportedCombination(f"no negative construction for {problem}")
-    glued = disjoint_union(g, block)
-    shift = g.n
-    witness = _block_witness(problem, block, shift)
-    modification = _block_deletion(problem, block, shift, mode)
-    return ReoptInstance(problem, glued, k, witness, modification, k)
+    block = build_extremal(problem, k) if row.extremal else row.build(k)
+    if mode == "edge":
+        if not block.edges:
+            raise UnsupportedCombination(
+                f"the {problem.value} block at this parameter has no edge to delete"
+            )
+        mid = (block.n - 1) // 2
+        u, v = (mid, mid + 1) if row.path else min(block.edges)
+        modification: LocalModification = EdgeDel(g.n + u, g.n + v)
+    elif mode == "vertex":
+        modification = VertexDel(g.n + 1 if row.path else g.n)
+    else:
+        raise UnsupportedCombination(f"unknown deletion mode {mode!r}")
+    witness = row.witness(block, g.n)
+    return ReoptInstance(problem, disjoint_union(g, block), k, witness, modification, k)
 
 
 def build_clique_reopt_instance(

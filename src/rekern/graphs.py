@@ -154,10 +154,6 @@ class VertexDel:
 class VertexAdd:
     neighbors: frozenset[int]
 
-    @classmethod
-    def of(cls, neighbors: Iterable[int]) -> "VertexAdd":
-        return cls(frozenset(neighbors))
-
 
 LocalModification = EdgeAdd | EdgeDel | VertexDel | VertexAdd
 
@@ -287,18 +283,11 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     return _unchecked(len(index_map), edges, labels), index_map
 
 
-def component_of(g: Graph, at: int | Edge) -> tuple[Graph, tuple[int, ...]]:
-    """The component holding a vertex (or an edge's endpoints), found by one
-    walk from it, as an induced subgraph with the index map back to ``g``."""
-    if isinstance(at, tuple):
-        u, v = at
-        g._check_vertex(u)
-        g._check_vertex(v)
-        start = u
-    else:
-        g._check_vertex(at)
-        start = at
-    return induced_subgraph(g, reach_within(g, start, g.vertices))
+def component_of(g: Graph, v: int) -> tuple[Graph, tuple[int, ...]]:
+    """The component holding a vertex, found by one walk from it, as an
+    induced subgraph with the index map back to ``g``."""
+    g._check_vertex(v)
+    return induced_subgraph(g, reach_within(g, v, g.vertices))
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:

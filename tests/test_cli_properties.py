@@ -9,7 +9,8 @@ range.  Then up to three fields (at the top level or one level down) are
 dropped or replaced by a value of the wrong type; result documents get
 one such change half of the time.  Each document goes
 through every subcommand, and each must exit 0, 2, 3 or 4; a Python
-traceback fails the test.  DIMACS text (``p edge n m`` / ``e u v``) with
+traceback fails the test.  ``gadget setcover-cvc`` gets up to three
+``--family`` members of any text.  DIMACS text (``p edge n m`` / ``e u v``) with
 a missing or second problem line, a wrong edge count, endpoints 0 or
 n + 1, self-loops, non-integers, unknown records and comments goes through
 every subcommand that reads ``--input`` in the same way.  The runs are
@@ -23,6 +24,7 @@ import contextlib
 import io
 import json
 import tempfile
+from collections.abc import Sequence
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
@@ -189,7 +191,18 @@ def dimacs_texts(draw):
     return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
 
 
-def _commands(doc_path: str, result_path: str, problem: str, k: int) -> list[list[str]]:
+# ``gadget setcover-cvc --family`` members: any text, and JSON text of
+# integer lists and of wrong values.
+family_members = st.one_of(
+    st.text(max_size=6),
+    garbage.map(json.dumps),
+    st.lists(st.integers(-1, 9), max_size=4).map(json.dumps),
+)
+
+
+def _commands(
+    doc_path: str, result_path: str, problem: str, k: int, family: Sequence[str] = ()
+) -> list[list[str]]:
     read = ["--input", doc_path]
     flags = ["--problem", problem, "--k", str(k)]
     return [
@@ -202,7 +215,8 @@ def _commands(doc_path: str, result_path: str, problem: str, k: int) -> list[lis
         ["gadget", "clique-reopt", "--k", str(k), *read],
         ["gadget", "clique-reopt", "--k", str(k), "--mode", "vertex", *read],
         ["gadget", "extremal", *flags],
-        ["gadget", "setcover-cvc", "--universe", str(k), "--k", str(k)],
+        ["gadget", "setcover-cvc", "--universe", str(k), "--k", str(k),
+         "--family", *family],
         ["solve", "--problem", problem, *read],
         ["verify", "crown", *read],
         ["verify", "solution", *read],
@@ -223,14 +237,15 @@ def _commands(doc_path: str, result_path: str, problem: str, k: int) -> list[lis
     result=result_documents(),
     problem=st.sampled_from(PROBLEMS),
     k=st.integers(-2, 4),
+    family=st.lists(family_members, max_size=3),
 )
-def test_every_subcommand_exits_with_a_documented_code(doc, result, problem, k):
+def test_every_subcommand_exits_with_a_documented_code(doc, result, problem, k, family):
     with tempfile.TemporaryDirectory() as tmp:
         doc_path = Path(tmp) / "instance.json"
         result_path = Path(tmp) / "result.json"
         doc_path.write_text(json.dumps(doc))
         result_path.write_text(json.dumps(result))
-        for argv in _commands(str(doc_path), str(result_path), problem, k):
+        for argv in _commands(str(doc_path), str(result_path), problem, k, family):
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
                 io.StringIO()
             ):

@@ -316,6 +316,30 @@ def test_cli_gadget_and_solve_and_verify(tmp_path, capsys):
     assert code == 0 and json.loads(out)["valid"] is True
 
 
+@pytest.mark.parametrize("member", ["[1", "5", "[[1]]", "[true]", "[1.0]"])
+def test_cli_setcover_gadget_rejects_a_malformed_family_member(capsys, member):
+    """A member that is not JSON, not a list, or holds anything but
+    integers is a usage error, not a traceback or a document that
+    ``solve`` later rejects."""
+    code, out = run_cli(
+        capsys, "gadget", "setcover-cvc", "--universe", "2", "--family", "[2]", member
+    )
+    assert code == 2 and out == ""
+
+
+def test_cli_setcover_gadget_output_solves_as_set_cover(tmp_path, capsys):
+    code, out = run_cli(
+        capsys, "gadget", "setcover-cvc", "--universe", "2", "--k", "1",
+        "--family", "[1]", "[1, 2]",
+    )
+    assert code == 0
+    path = tmp_path / "gadget.json"
+    path.write_text(out)
+    code, out = run_cli(capsys, "solve", "--problem", "set_cover", "--input", str(path))
+    assert code == 0
+    assert json.loads(out)["value"] == 1
+
+
 def test_cli_commands_in_a_row_keep_their_own_defaults(capsys):
     """The process parses every command with one parser; a command that
     sets options leaves the next one with the defaults of a fresh parser,

@@ -8,22 +8,25 @@ from rekern.framework import (
     Compositionality,
     Monotonicity,
     builtin_spec,
-    canonical_ivst_yes_instance,
     check_composition,
     compositional_reopt_kernelize,
     environment,
     exact_component_kernelizer,
     ivst_reopt_kernelize_eplus,
 )
+from rekern.gadgets import build_extremal
 from rekern.graphs import (
     EdgeAdd,
     EdgeDel,
     Graph,
     VertexAdd,
     VertexDel,
+    apply_modification,
     complete_graph,
+    components,
     cycle_graph,
     disjoint_union,
+    induced_subgraph,
     path_graph,
     star_graph,
 )
@@ -58,6 +61,72 @@ def test_environment_vertex_add():
     g = disjoint_union(path_graph(2), path_graph(2))
     envs = environment(g, VertexAdd(frozenset({0, 2})))
     assert len(envs) == 1 and envs[0][0].n == 5
+
+
+def reference_environment(g: Graph, m):
+    """The components of the modified graph that meet the touched vertices,
+    as induced subgraphs, ordered by smallest vertex."""
+    after = apply_modification(g, m)
+    if isinstance(m, (EdgeAdd, EdgeDel)):
+        touched = {m.u, m.v}
+    elif isinstance(m, VertexAdd):
+        touched = {g.n}
+    else:
+        touched = {w if w < m.v else w - 1 for w in g.adjacency[m.v]}
+    return [induced_subgraph(after, c) for c in components(after) if touched & set(c)]
+
+
+def admitted_modifications(g: Graph):
+    for u in range(g.n):
+        for v in range(g.n):
+            if u != v:
+                yield EdgeDel(u, v) if g.has_edge(u, v) else EdgeAdd(u, v)
+        yield VertexDel(u)
+    for mask in range(1 << g.n):
+        yield VertexAdd(frozenset(v for v in range(g.n) if mask >> v & 1))
+
+
+def test_environment_equals_the_touched_components_on_the_atlas():
+    """Every atlas graph with up to 6 vertices, labelled so labels are
+    carried too, under every modification it admits."""
+    from rekern.smallgraphs import all_graphs_upto
+
+    for plain in all_graphs_upto(6):
+        g = Graph(plain.n, plain.edges, tuple(f"v{i}" for i in range(plain.n)))
+        for m in admitted_modifications(g):
+            envs, expected = environment(g, m), reference_environment(g, m)
+            assert envs == expected, (g, m)
+            assert [e[0].labels for e in envs] == [e[0].labels for e in expected]
+
+
+def test_environment_of_an_edge_deletion_ignores_the_end_order():
+    g = path_graph(3)
+    assert environment(g, EdgeDel(2, 1)) == environment(g, EdgeDel(1, 2))
+    assert [idx for _, idx in environment(g, EdgeDel(2, 1))] == [(0, 1), (2,)]
+
+
+@pytest.mark.parametrize("witness, k", [(None, 4), ((1, 0, 2), 2)])
+def test_vertex_deletion_dispatch_builds_one_environment(monkeypatch, witness, k):
+    """The environment built for the degree bound is the one dispatched on,
+    and a dispatch that re-solves every component builds no second one."""
+    import rekern.framework as framework
+
+    calls = []
+    built = framework.environment
+
+    def counted(g, m):
+        calls.append(m)
+        return built(g, m)
+
+    monkeypatch.setattr(framework, "environment", counted)
+    g = disjoint_union(star_graph(3), path_graph(4))
+    inst = ReoptInstance(PK.LONGEST_PATH, g, k, witness, VertexDel(0), k)
+    out = compositional_reopt_kernelize(
+        inst, builtin_spec(PK.LONGEST_PATH), exact_ck(PK.LONGEST_PATH)
+    )
+    assert calls == [VertexDel(0)]
+    assert out.is_decided
+    assert out.answer == membership(PK.LONGEST_PATH, inst.modified, k)
 
 
 # --- dispatch ---------------------------------------------------------------
@@ -315,7 +384,7 @@ def test_ivst_eplus_bridging_edges():
 def test_ivst_eplus_union_kernel_variant():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
     inst = ReoptInstance(PK.IVST, g, 1, None, EdgeAdd(1, 2), 1)
-    prior = canonical_ivst_yes_instance(1)
+    prior = build_extremal(PK.IVST, 1)
     out = ivst_reopt_kernelize_eplus(inst, exact_ck(PK.IVST), prior_kernel=prior)
     assert out.is_reduced
     assert out.graph.n >= prior.n
@@ -323,9 +392,9 @@ def test_ivst_eplus_union_kernel_variant():
 
 
 def test_canonical_yes_instance_sizes():
-    assert canonical_ivst_yes_instance(1).n == 3  # 2k bound only holds from k = 2
+    assert build_extremal(PK.IVST, 1).n == 3  # 2k bound only holds from k = 2
     for k in range(2, 6):
-        g = canonical_ivst_yes_instance(k)
+        g = build_extremal(PK.IVST, k)
         assert g.n == k + 2 <= 2 * k
         assert membership(PK.IVST, g, k)
 
