@@ -24,7 +24,6 @@ from .graphs import (
     VertexAdd,
     VertexDel,
     apply_modification,
-    component_of,
     components,
     disjoint_union,
     induced_subgraph,
@@ -97,22 +96,17 @@ def environment(
 ) -> list[tuple[Graph, tuple[int, ...]]]:
     """Components of the modified graph that hold a touched vertex, ordered
     by smallest vertex: the new edge's ends or new vertex of an addition,
-    the ends of a deleted edge, or the neighbours of a deleted vertex.
-    Each is found by one walk from the first touched vertex it holds."""
+    the ends of a deleted edge, or the neighbours of a deleted vertex.  One
+    ``components`` split of the modified graph serves every modification."""
     g_after = apply_modification(g_before, m)
     if isinstance(m, (EdgeAdd, EdgeDel)):
-        touched = [m.u, m.v]
+        touched = {m.u, m.v}
     elif isinstance(m, VertexAdd):
-        touched = [g_before.n]
+        touched = {g_before.n}
     else:  # VertexDel: indices above the deleted vertex shift down by one
-        touched = [w if w < m.v else w - 1 for w in g_before.adjacency[m.v]]
-    envs = []
-    seen: set[int] = set()
-    for v in touched:
-        if v not in seen:
-            envs.append(component_of(g_after, v))
-            seen.update(envs[-1][1])
-    return sorted(envs, key=lambda env: env[1][0])
+        touched = {w if w < m.v else w - 1 for w in g_before.adjacency[m.v]}
+    parts = components(g_after)
+    return [induced_subgraph(g_after, c) for c in parts if not touched.isdisjoint(c)]
 
 
 _SUPPORTED = {

@@ -54,33 +54,33 @@ __all__ = [
 
 @dataclass(frozen=True)
 class _Block:
-    """A kind's block at k, whether it is a path, and its own solution shifted
-    into the glued instance (``None``: no negative construction)."""
+    """One kind's block at k and the witness of the instance it is glued into
+    at offset s; a row without ``witness`` has no negative construction."""
 
     build: Callable[[int], Graph | Digraph]
     path: bool = False
-    witness: Callable[[Graph, int], object] | None = None
     extremal: bool = True
+    witness: Callable[[Graph, int], object] | None = None
 
 
 _BLOCKS: dict[ProblemKind, _Block] = {
     ProblemKind.IVST: _Block(
-        lambda k: path_graph(k + 2),
-        True,
-        lambda b, s: frozenset((u + s, v + s) for u, v in b.edges),
+        build=lambda k: path_graph(k + 2), path=True,
+        witness=lambda b, s: frozenset((u + s, v + s) for u, v in b.edges),
     ),
     ProblemKind.LONGEST_PATH: _Block(  # the path of length k, glued but not extremal
-        lambda k: path_graph(k + 1), True, lambda b, s: tuple(range(s, s + b.n)), False
+        build=lambda k: path_graph(k + 1), path=True, extremal=False,
+        witness=lambda b, s: tuple(range(s, s + b.n)),
     ),
     ProblemKind.CLIQUE: _Block(
-        complete_graph, False, lambda b, s: frozenset(range(s, s + b.n))
+        build=complete_graph, witness=lambda b, s: frozenset(range(s, s + b.n))
     ),
-    # AND-compositional construction starts from a no-instance
+    # AND-compositional: the glued instance is a no-instance, so its witness is None
     ProblemKind.TREEWIDTH: _Block(
-        lambda k: complete_graph(k + 2), False, lambda b, s: None
+        build=lambda k: complete_graph(k + 2), witness=lambda b, s: None
     ),
     ProblemKind.LEAF_OUT_TREE: _Block(
-        lambda k: Digraph.from_arcs(k + 1, [(0, i) for i in range(1, k + 1)])
+        build=lambda k: Digraph.from_arcs(k + 1, [(0, i) for i in range(1, k + 1)])
     ),
 }
 

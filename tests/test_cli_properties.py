@@ -9,8 +9,8 @@ range.  Then up to three fields (at the top level or one level down) are
 dropped or replaced by a value of the wrong type; result documents get
 one such change half of the time.  Each document goes
 through every subcommand, and each must exit 0, 2, 3 or 4; a Python
-traceback fails the test.  ``gadget setcover-cvc`` gets up to three
-``--family`` members of any text.  DIMACS text (``p edge n m`` / ``e u v``) with
+traceback fails the test.  ``gadget setcover-cvc`` gets no ``--family``
+or up to three members of any text.  DIMACS text (``p edge n m`` / ``e u v``) with
 a missing or second problem line, a wrong edge count, endpoints 0 or
 n + 1, self-loops, non-integers, unknown records and comments goes through
 every subcommand that reads ``--input`` in the same way.  The runs are
@@ -201,10 +201,16 @@ family_members = st.one_of(
 
 
 def _commands(
-    doc_path: str, result_path: str, problem: str, k: int, family: Sequence[str] = ()
+    doc_path: str,
+    result_path: str,
+    problem: str,
+    k: int,
+    family: Sequence[str] | None = None,
 ) -> list[list[str]]:
     read = ["--input", doc_path]
     flags = ["--problem", problem, "--k", str(k)]
+    # No family: the command's default family.
+    family_flags = [] if family is None else ["--family", *family]
     return [
         ["kernelize", "vc", "--mode", "classic3k", *read],
         ["kernelize", "vc", "--mode", "reopt2k", *read],
@@ -215,8 +221,7 @@ def _commands(
         ["gadget", "clique-reopt", "--k", str(k), *read],
         ["gadget", "clique-reopt", "--k", str(k), "--mode", "vertex", *read],
         ["gadget", "extremal", *flags],
-        ["gadget", "setcover-cvc", "--universe", str(k), "--k", str(k),
-         "--family", *family],
+        ["gadget", "setcover-cvc", "--universe", str(k), "--k", str(k), *family_flags],
         ["solve", "--problem", problem, *read],
         ["verify", "crown", *read],
         ["verify", "solution", *read],
@@ -237,7 +242,7 @@ def _commands(
     result=result_documents(),
     problem=st.sampled_from(PROBLEMS),
     k=st.integers(-2, 4),
-    family=st.lists(family_members, max_size=3),
+    family=st.none() | st.lists(family_members, max_size=3),
 )
 def test_every_subcommand_exits_with_a_documented_code(doc, result, problem, k, family):
     with tempfile.TemporaryDirectory() as tmp:
