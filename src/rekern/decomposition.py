@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, components, reach_within
+from .graphs import Graph, adjacency_masks, mask_reach
 
 
 @dataclass(frozen=True)
@@ -24,23 +24,36 @@ class TreeDecomposition:
 
 
 def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> list[str]:
-    """All violated tree-decomposition clauses; empty list means valid."""
-    violations: list[str] = []
+    """All violated tree-decomposition clauses; empty list means valid.
+
+    Works on bitmasks over bag indices: the bag tree's adjacency, and for
+    each vertex of ``g`` the bags that hold it.  A bag vertex outside ``g``
+    leaves the cover clause unmet.
+    """
     if td.tree.n == 0:
         return ["decomposition has no bags"]
+    violations: list[str] = []
     if td.tree.n > 1 and len(td.tree.edges) != td.tree.n - 1:
         violations.append("bag graph is not a tree (wrong edge count)")
-    if len(components(td.tree)) != 1:
+    tree = adjacency_masks(td.tree)
+    every_bag = (1 << td.tree.n) - 1
+    if mask_reach(tree, 1, every_bag) != every_bag:
         violations.append("bag graph is not connected")
 
-    covered = frozenset().union(*td.bags) if td.bags else frozenset()
-    if covered != frozenset(g.vertices):
+    holding = [0] * g.n  # holding[v]: the bags that hold v
+    stray = False
+    for i, bag in enumerate(td.bags):
+        for v in bag:
+            if 0 <= v < g.n:
+                holding[v] |= 1 << i
+            else:
+                stray = True
+    if stray or not all(holding):
         violations.append("bags do not cover every vertex")
     for u, v in g.edges:
-        if not any(u in bag and v in bag for bag in td.bags):
+        if not holding[u] & holding[v]:
             violations.append(f"edge {(u, v)} inside no bag")
-    for v in g.vertices:
-        holding = {i for i, bag in enumerate(td.bags) if v in bag}
-        if holding and len(reach_within(td.tree, min(holding), holding)) != len(holding):
+    for v, bags in enumerate(holding):
+        if bags and mask_reach(tree, bags & -bags, bags) != bags:
             violations.append(f"bags containing vertex {v} do not form a subtree")
     return violations

@@ -170,8 +170,9 @@ def build_negative_reopt_instance(
     treewidth glues K_{k+2} with no witness.  The modified instance is a
     member iff (g, k) is, which is what makes these constructions
     hardness-preserving.  A path block loses its middle edge or its
-    lowest-index internal vertex, any other block its smallest edge or
-    its first vertex.
+    vertex 1 (its lowest-index internal vertex from k = 2 on, an end of
+    its one edge at k = 1), any other block its smallest edge or its first
+    vertex.
     """
     if k < 0:
         raise PreconditionViolated("k must be a natural number")
@@ -188,6 +189,11 @@ def build_negative_reopt_instance(
         u, v = (mid, mid + 1) if row.path else min(block.edges)
         modification: LocalModification = EdgeDel(g.n + u, g.n + v)
     elif mode == "vertex":
+        if row.path and block.n < 2:
+            raise UnsupportedCombination(
+                f"the {problem.value} block at this parameter has no internal "
+                "vertex to delete"
+            )
         modification = VertexDel(g.n + 1 if row.path else g.n)
     else:
         raise UnsupportedCombination(f"unknown deletion mode {mode!r}")

@@ -262,6 +262,27 @@ def reach_within(g: Graph, start: int, within: Container[int]) -> set[int]:
     return reached
 
 
+def adjacency_masks(g: Graph) -> list[int]:
+    """Each vertex's neighbourhood as a bitmask, bit u for neighbour u."""
+    masks = [0] * g.n
+    for u, v in g.edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks
+
+
+def mask_reach(masks: list[int], start: int, within: int) -> int:
+    """The vertices reachable from those of ``start`` inside ``within``
+    (which holds ``start``), all as bitmasks over ``masks``' vertices."""
+    reach = frontier = start
+    while frontier:
+        low = frontier & -frontier
+        new = masks[low.bit_length() - 1] & within & ~reach
+        reach |= new
+        frontier = (frontier ^ low) | new
+    return reach
+
+
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     """Induced subgraph plus the index map back to ``g``.
 

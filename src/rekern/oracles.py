@@ -10,22 +10,34 @@ solver enumerates candidates directly.
 Oracles are the verification backbone for every kernelizer in the
 package, so they stay exhaustive: no heuristic decides a value.  They
 avoid waste only where an argument shows it is exact.  All five
-component solvers run on one bitmask adjacency (``_adjmask``): vertex
-cover branches on a vertex or all its neighbours, clique grows in
-ascending order under a size bound, and both break ties with one rule
-(``_lex_first``); longest path, IVST and treewidth are subset DPs.  IVST
-answers n - 2 outright on a component with a Hamiltonian path, the most
-any subtree can reach, and its subset DP attaches a root's children in
-one canonical order instead of every order.  Treewidth reads each fill
-degree from a table of Q(S, v), the vertices outside S that v reaches
-through S.  ``solve_exact`` runs one component loop for all five, which
-a connected graph skips, and memoizes each component on the unlabelled
-``(n, edges)`` in a bounded LRU cache (``_solve_component``), because
-kernel checks and compositional dispatch ask about the same small graphs
-again and again.  Size guards run before every lookup, so a cached answer
-never bypasses a guard.  Each kind's solver, verifier and component combine
-rule sit in one table (``_ORACLES``); its size guard, witness shape and
-direction come from its row in ``rekern.problems``.
+component solvers run on one bitmask adjacency
+(``graphs.adjacency_masks``): vertex cover branches on a vertex or all
+its neighbours, clique grows in ascending order under a size bound, and
+both break ties with one rule (``_lex_first``); longest path, IVST and
+treewidth are subset DPs behind bounds that often settle the answer.
+Longest path and IVST share a table of the vertex sets that paths visit.
+A path on all n vertices, or on n - 1 of them, is walked on its vertex
+set instead of scanning every set.  IVST answers n - 2 from a
+Hamiltonian path, the most any subtree can reach, since a tree on two
+or more vertices has at least two leaves.  Without one, a subtree spans
+the graph with three leaves or misses a vertex, so IVST answers n - 3
+from a path on n - 1 vertices.  Only graphs with neither run its subset
+DP, which attaches a root's children in one canonical order instead of
+every order.  Treewidth is at least the degeneracy, since every subgraph
+of a graph of treewidth t has a vertex of degree at most t, and at most
+the width of any elimination order; when the min-degree order's width
+meets the degeneracy, that order is the witness.  Otherwise the subset
+DP reads each fill degree from a table of Q(S, v), the vertices outside
+S that v reaches through S.  Every treewidth witness passes the
+validator on every solve.  ``solve_exact`` runs one component loop for
+all five, which a connected graph skips, and memoizes each component on
+the unlabelled ``(n, edges)`` in a bounded LRU cache
+(``_solve_component``), because kernel checks and compositional dispatch
+ask about the same small graphs again and again.  Size guards run before
+every lookup, so a cached answer never bypasses a guard.  Each kind's
+solver, verifier and component combine rule sit in one table
+(``_ORACLES``); its size guard, witness shape and direction come from
+its row in ``rekern.problems``.
 """
 
 from __future__ import annotations
@@ -40,8 +52,10 @@ from .errors import SizeGuardExceeded, UnsupportedProblem
 from .graphs import (
     Digraph,
     Graph,
+    adjacency_masks,
     components,
     induced_subgraph,
+    mask_reach,
     normalize_edge,
     reach_within,
 )
@@ -67,26 +81,11 @@ def _guard(kind: ProblemKind, size: int, limit: int | None) -> None:
         )
 
 
-def _adjmask(g: Graph) -> list[int]:
-    """Each vertex's neighbourhood as a bitmask: the scaffold of every
-    component solver."""
-    adjmask = [0] * g.n
-    for u, v in g.edges:
-        adjmask[u] |= 1 << v
-        adjmask[v] |= 1 << u
-    return adjmask
-
-
 def _connected(g: Graph) -> bool:
-    """Whether ``g`` has at most one component, by a search on ``_adjmask``."""
-    adjmask = _adjmask(g)
-    reach = frontier = 1 if g.n else 0
-    while frontier:
-        low = frontier & -frontier
-        new = adjmask[low.bit_length() - 1] & ~reach
-        reach |= new
-        frontier = (frontier ^ low) | new
-    return reach == (1 << g.n) - 1
+    """Whether ``g`` has at most one component, by a search on its
+    adjacency masks."""
+    every = (1 << g.n) - 1
+    return mask_reach(adjacency_masks(g), every & 1, every) == every
 
 
 def _vertex_set(mask: int) -> frozenset[int]:
@@ -123,7 +122,7 @@ def _solve_vertex_cover(g: Graph) -> ExactSolution:
     goes on only while it is smaller than the best cover so far, so covers
     that tie it still reach a leaf and ``_lex_first`` breaks the tie.
     """
-    adjmask = _adjmask(g)
+    adjmask = adjacency_masks(g)
     best_size, best = g.n, (1 << g.n) - 1
 
     def branch(rest: int, cover: int, size: int) -> None:
@@ -284,7 +283,7 @@ def _solve_clique(g: Graph) -> ExactSolution:
     size plus its candidates falls below the best size (Carraghan and
     Pardalos, 1990); ties still reach ``_lex_first``.
     """
-    adjmask = _adjmask(g)
+    adjmask = adjacency_masks(g)
     best_size = best = 0
 
     def grow(candidates: int, clique: int, size: int) -> None:
@@ -333,11 +332,44 @@ def _path_ends(adjmask: list[int]) -> list[int]:
     return ends
 
 
+def _walk_path(adjmask: list[int], ends: list[int], mask: int) -> tuple[int, ...]:
+    """The lexicographically first path visiting exactly ``mask``, which
+    ``ends[mask]`` says exists.  Paths reverse, so one starts at w on S iff
+    w is in ends[S]: the walk takes the lowest such start, then each time
+    the lowest neighbour that starts a path on the vertices left."""
+    path: list[int] = []
+    allowed = -1
+    while mask:
+        starts = ends[mask] & allowed
+        if not starts:
+            raise AssertionError("path reconstruction failed")
+        low = starts & -starts
+        path.append(low.bit_length() - 1)
+        mask ^= low
+        allowed = adjmask[path[-1]]
+    return tuple(path)
+
+
+def _near_spanning_path(adjmask: list[int], ends: list[int]) -> tuple[int, ...] | None:
+    """The lexicographically first longest path when it visits all n
+    vertices or n - 1 of them, else None.  Among several vertex sets of one
+    size, the first path is the smallest of their walks."""
+    every = len(ends) - 1
+    if ends[every]:
+        return _walk_path(adjmask, ends, every)
+    masks = (every ^ (1 << v) for v in range(len(adjmask)))
+    return min((_walk_path(adjmask, ends, m) for m in masks if ends[m]), default=None)
+
+
 def _first_longest_path(adjmask: list[int], ends: list[int]) -> tuple[int, ...]:
     """The longest path with the lowest start, then at each step the lowest
     neighbour that starts a path of the remaining length outside the
-    visited set.  Paths reverse, so one starts at w on S iff w is in
-    ends[S]; each step reads the masks of one size, bucketed once."""
+    visited set.  A path on n or n - 1 vertices is walked on its vertex
+    set; any shorter one reads, at each step, the masks of one size,
+    bucketed once."""
+    near = _near_spanning_path(adjmask, ends)
+    if near is not None:
+        return near
     by_size: dict[int, list[int]] = {}
     for mask, last in enumerate(ends):
         if last:
@@ -362,7 +394,7 @@ def _first_longest_path(adjmask: list[int], ends: list[int]) -> tuple[int, ...]:
 def _solve_longest_path(g: Graph) -> ExactSolution:
     if g.n == 0:
         return ExactSolution(0, ())
-    adjmask = _adjmask(g)
+    adjmask = adjacency_masks(g)
     path = _first_longest_path(adjmask, _path_ends(adjmask))
     return ExactSolution(len(path) - 1, path)
 
@@ -389,22 +421,23 @@ def is_subtree_with_internal(g: Graph, candidate: Iterable[Iterable[int]], k: in
 def _solve_ivst(g: Graph) -> ExactSolution:
     """Maximum internal vertices over all subtrees.
 
-    Every tree with at least two vertices has at least two leaves, so no
-    subtree of a graph on n >= 3 vertices has more than n - 2 internal
-    vertices, and a Hamiltonian path has exactly n - 2.  The endpoint-set
-    table has one when its full-mask entry is not empty; only graphs
-    without one reach the subset DP.
+    Every tree with at least two vertices has at least two leaves, and one
+    with exactly two is a path.  So on n >= 3 vertices a subtree has at
+    most n - 2 internal vertices, and a Hamiltonian path has exactly n - 2.
+    Without one, every subtree either spans the graph with at least three
+    leaves or misses a vertex, so it has at most n - 3, which a path on
+    n - 1 vertices reaches.  The endpoint-set table finds either path;
+    only graphs with neither reach the subset DP.
     """
     n = g.n
     if n < 3:
         return ExactSolution(0, frozenset())
-    adjmask = _adjmask(g)
-    ends = _path_ends(adjmask)
-    if not ends[-1]:
+    adjmask = adjacency_masks(g)
+    path = _near_spanning_path(adjmask, _path_ends(adjmask))
+    if path is None:
         return _ivst_subset_dp(g)
-    path = _first_longest_path(adjmask, ends)
     return ExactSolution(
-        n - 2, frozenset(normalize_edge(a, b) for a, b in zip(path, path[1:]))
+        len(path) - 2, frozenset(normalize_edge(a, b) for a, b in zip(path, path[1:]))
     )
 
 
@@ -422,7 +455,7 @@ def _ivst_subset_dp(g: Graph) -> ExactSolution:
     run in ascending order over flat per-vertex tables.
     """
     n = g.n
-    adjmask = _adjmask(g)
+    adjmask = adjacency_masks(g)
     size = 1 << n
     NEG = -1
     dp1 = [[NEG] * size for _ in range(n)]  # dp1[v][S]: root degree 1
@@ -532,7 +565,7 @@ def _tw_elimination(g: Graph) -> tuple[int, list[int]]:
     if n == 0:
         return -1, []
     size = 1 << n
-    q = _adjmask(g) + [0] * ((size - 1) * n)  # Q({}, v) = N(v)
+    q = adjacency_masks(g) + [0] * ((size - 1) * n)  # Q({}, v) = N(v)
     f = [-1] * size
     choice = [0] * size
     for mask in range(1, size):
@@ -577,7 +610,7 @@ def _td_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
     """
     if g.n == 0:
         return TreeDecomposition(Graph.from_edges(1), (frozenset(),))
-    adjmask = _adjmask(g)
+    adjmask = adjacency_masks(g)
     remaining = (1 << g.n) - 1
     later = [0] * g.n
     for v in order:
@@ -599,8 +632,60 @@ def _td_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
     return TreeDecomposition(Graph(len(bags), frozenset(tree_edges)), bags)
 
 
+def _min_degree(adjmask: list[int], rest: int) -> tuple[int, int]:
+    """The lowest vertex of least degree within ``rest``, and that degree."""
+    best, best_v = len(adjmask), -1
+    scan = rest
+    while scan:
+        low = scan & -scan
+        scan ^= low
+        v = low.bit_length() - 1
+        degree = (adjmask[v] & rest).bit_count()
+        if degree < best:
+            best, best_v = degree, v
+    return best, best_v
+
+
+def _tw_bounds(adjmask: list[int]) -> tuple[int, int, list[int]]:
+    """A lower and an upper bound on treewidth, and an elimination order
+    whose width is the upper one.
+
+    The lower bound is the degeneracy: every subgraph of a graph of
+    treewidth t has a vertex of degree at most t, so peeling a least-degree
+    vertex never meets a degree above t.  The upper bound is the width of
+    the min-degree elimination with fill, lowest vertex first on ties: any
+    elimination order's width bounds treewidth from above (Bodlaender and
+    Koster, "Treewidth computations II. Lower bounds", 2011).
+    """
+    every = (1 << len(adjmask)) - 1
+    lower, rest = -1, every
+    while rest:
+        degree, v = _min_degree(adjmask, rest)
+        lower = max(lower, degree)
+        rest ^= 1 << v
+    filled = adjmask[:]
+    upper, rest, order = -1, every, []
+    while rest:
+        degree, v = _min_degree(filled, rest)
+        upper = max(upper, degree)
+        rest ^= 1 << v
+        order.append(v)
+        nbrs = scan = filled[v] & rest
+        while scan:
+            low = scan & -scan
+            scan ^= low
+            filled[low.bit_length() - 1] |= nbrs ^ low
+    return lower, upper, order
+
+
 def _solve_treewidth(g: Graph) -> ExactSolution:
-    width, order = _tw_elimination(g)
+    """Treewidth with a decomposition that the validator checks on every
+    solve.  When the degeneracy meets the min-degree width, that width is
+    the treewidth and its order the witness; only graphs where the bounds
+    differ run the subset DP."""
+    lower, width, order = _tw_bounds(adjacency_masks(g))
+    if lower != width:
+        width, order = _tw_elimination(g)
     td = _td_from_order(g, order)
     problems = validate_tree_decomposition(g, td)
     if problems or td.width != width:

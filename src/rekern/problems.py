@@ -41,6 +41,11 @@ class ProblemKind(Enum):
     TREEWIDTH = "treewidth"
     LEAF_OUT_TREE = "leaf_out_tree"
 
+    # Enum members are equal only to themselves, so identity hashing agrees
+    # with equality and skips ``Enum.__hash__``, a Python-level call on
+    # every oracle cache key and problem-table lookup.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class ProblemRow:

@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from rekern.cli import run_command
 from rekern.errors import InvalidSetCover, UnsupportedCombination, UnsupportedProblem
 from rekern.gadgets import (
     build_clique_reopt_instance,
@@ -110,6 +113,26 @@ def test_negative_instance_membership_matches_carrier(problem, mode, rng):
 def test_negative_instance_clique_k1_edge_mode_rejected():
     with pytest.raises(UnsupportedCombination):
         build_negative_reopt_instance(PK.CLIQUE, path_graph(2), 1, mode="edge")
+
+
+def test_negative_instance_longest_path_k0_vertex_mode_rejected(tmp_path, capsys):
+    """The k = 0 path block is one vertex, so vertex mode has nothing to
+    delete: the builder says so, and the CLI exits 4 with that message."""
+    with pytest.raises(UnsupportedCombination, match="no internal vertex to delete"):
+        build_negative_reopt_instance(PK.LONGEST_PATH, path_graph(4), 0, mode="vertex")
+    carrier = tmp_path / "paw.json"
+    graph = {"n": 4, "edges": [[0, 1], [0, 2], [1, 2], [2, 3]]}
+    carrier.write_text(
+        json.dumps({"format": "rekern-instance", "version": 1, "graph": graph})
+    )
+    argv = ["gadget", "negative", "--problem", "longest_path", "--k", "0"]
+    code = run_command([*argv, "--mode", "vertex", "--input", str(carrier)])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err == (
+        "validation: the longest_path block at this parameter has no internal "
+        "vertex to delete\n"
+    )
 
 
 def test_negative_instance_witness_roles():

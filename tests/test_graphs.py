@@ -7,6 +7,7 @@ from rekern.graphs import (
     Graph,
     VertexAdd,
     VertexDel,
+    adjacency_masks,
     apply_modification,
     complete_graph,
     component_of,
@@ -14,7 +15,9 @@ from rekern.graphs import (
     cycle_graph,
     disjoint_union,
     induced_subgraph,
+    mask_reach,
     path_graph,
+    reach_within,
 )
 
 
@@ -120,6 +123,20 @@ def test_components_cover_disjoint_connected(rng):
         for comp in comps:
             sub, _ = induced_subgraph(g, comp)
             assert len(components(sub)) == 1
+
+
+def test_mask_reach_equals_reach_within(rng):
+    from rekern.smallgraphs import random_graph
+
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(1, 10), 0.3)
+        masks = adjacency_masks(g)
+        assert masks == [sum(1 << u for u in g.adjacency[v]) for v in g.vertices]
+        within = {v for v in g.vertices if rng.random() < 0.7}
+        for start in sorted(within):
+            expected = reach_within(g, start, within)
+            got = mask_reach(masks, 1 << start, sum(1 << v for v in within))
+            assert got == sum(1 << v for v in expected)
 
 
 def test_disjoint_union_shifts_and_counts():

@@ -149,6 +149,11 @@ def _decomposition(bags, tree_edges) -> TreeDecomposition:
             _decomposition([{0, 1}, {1, 2}], [(0, 1)]),
             "bags do not cover every vertex",
         ),
+        (
+            path_graph(3),
+            _decomposition([{0, 1}, {1, 2, 3}], [(0, 1)]),
+            "bags do not cover every vertex",
+        ),
         (path_graph(3), _decomposition([{0, 1}, {2}], [(0, 1)]), "edge (1, 2) inside no bag"),
         (
             path_graph(3),
@@ -164,8 +169,9 @@ def test_each_tree_decomposition_clause_fires_alone(g, td, violation):
 
 def test_validator_verdicts_on_mutated_decompositions_match_the_reference(rng):
     """Optimal decompositions of every atlas graph up to 5 vertices, each
-    mutated three times by dropping or adding a bag vertex, dropping a tree
-    edge or adding a bag; the verdict lists equal the reference's."""
+    mutated three times by dropping or adding a bag vertex, adding a vertex
+    outside the graph, dropping a tree edge, adding a tree edge or adding a
+    bag; the verdict lists equal the reference's."""
     from rekern.smallgraphs import all_graphs_upto
 
     clauses = (
@@ -182,7 +188,7 @@ def test_validator_verdicts_on_mutated_decompositions_match_the_reference(rng):
             bags = [set(bag) for bag in td.bags]
             edges = set(td.tree.edges)
             for _ in range(rng.randint(1, 3)):
-                op = rng.randrange(4)
+                op = rng.randrange(6)
                 if op == 0:
                     rng.choice(bags).discard(rng.randrange(g.n))
                 elif op == 1:
@@ -193,6 +199,11 @@ def test_validator_verdicts_on_mutated_decompositions_match_the_reference(rng):
                     bags.append({rng.randrange(g.n)})
                     if rng.random() < 0.5:
                         edges.add((rng.randrange(len(bags) - 1), len(bags) - 1))
+                elif op == 4:
+                    rng.choice(bags).add(rng.choice((-1, g.n)))
+                elif op == 5 and len(bags) > 2:
+                    a, b = rng.sample(range(len(bags)), 2)
+                    edges.add((min(a, b), max(a, b)))
             mutated = _decomposition(bags, edges)
             verdict = validate_tree_decomposition(g, mutated)
             assert verdict == _reference_validate(g, mutated), (g, mutated)
@@ -223,6 +234,39 @@ def test_treewidth_outputs_match_the_pinned_fill_degree_search():
         assert [sorted(bag) for bag in td.bags] == entry["bags"], g
         assert sorted(list(e) for e in td.tree.edges) == entry["tree"], g
         assert validate_tree_decomposition(g, td) == []
+
+
+def test_treewidth_subset_dp_runs_only_where_the_bounds_differ(monkeypatch):
+    calls = []
+    elimination = oracles._tw_elimination
+    monkeypatch.setattr(
+        oracles, "_tw_elimination", lambda g: calls.append(g) or elimination(g)
+    )
+    for g, width in ((path_graph(6), 1), (cycle_graph(7), 2)):
+        solution = oracles._solve_treewidth(g)
+        assert solution.value == width and calls == []
+    # K_{2,3} plus an edge inside its larger side: degeneracy 2, min-degree
+    # width 3, treewidth 3.
+    g = Graph.from_edges(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 4)])
+    assert oracles._tw_bounds(oracles.adjacency_masks(g))[:2] == (2, 3)
+    solution = oracles._solve_treewidth(g)
+    assert solution.value == 3 and calls == [g]
+    assert validate_tree_decomposition(g, solution.witness) == []
+
+
+def test_treewidth_bounds_enclose_the_pinned_width():
+    """Degeneracy <= treewidth <= min-degree width on every connected atlas
+    graph up to 7 vertices, and the min-degree order's decomposition has
+    exactly the upper bound's width."""
+    from rekern.smallgraphs import all_graphs_upto
+
+    data = json.loads(TREEWIDTH_VALUES.read_text())
+    atlas = [g for g in all_graphs_upto(7) if len(components(g)) == 1]
+    for g, entry in zip(atlas, data["atlas"]):
+        lower, upper, order = oracles._tw_bounds(oracles.adjacency_masks(g))
+        assert lower <= entry["width"] <= upper, g
+        assert sorted(order) == list(g.vertices)
+        assert oracles._td_from_order(g, order).width == upper, g
 
 
 def test_ivst_known_values():
@@ -258,7 +302,7 @@ def test_ivst_values_match_the_pinned_subset_dp():
             assert verify_solution(PK.IVST, g, solution.witness, value)
 
 
-def test_ivst_subset_dp_runs_only_without_a_hamiltonian_path(monkeypatch):
+def test_ivst_subset_dp_runs_only_without_a_path_on_n_minus_1_vertices(monkeypatch):
     calls = []
     subset_dp = oracles._ivst_subset_dp
     monkeypatch.setattr(
@@ -268,7 +312,14 @@ def test_ivst_subset_dp_runs_only_without_a_hamiltonian_path(monkeypatch):
     solution = oracles._solve_ivst(hamiltonian)
     assert solution.value == 5 and calls == []
     assert verify_solution(PK.IVST, hamiltonian, solution.witness, 5)
-    # Three legs of length 2 around vertex 0: no Hamiltonian path.
+    # Legs of length 2, 2 and 1 around vertex 0: no Hamiltonian path, but
+    # one on the five vertices off the short leg, so n - 3.
+    short_spider = Graph.from_edges(6, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5)])
+    solution = oracles._solve_ivst(short_spider)
+    assert solution.value == 3 and calls == []
+    assert verify_solution(PK.IVST, short_spider, solution.witness, 3)
+    assert subset_dp(short_spider).value == 3
+    # Three legs of length 2: every path misses at least two vertices.
     spider = Graph.from_edges(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
     solution = oracles._solve_ivst(spider)
     assert solution.value == 4 and calls == [spider]
