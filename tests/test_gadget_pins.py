@@ -2,9 +2,10 @@
 
 Every ``rekern gadget extremal``, ``gadget negative`` and ``gadget
 clique-reopt`` command below runs in process; the sha256 of its standard
-output and its exit code must match ``tests/data/gadgets_sha256.json``.
-Refusals are pinned too: a kind without a block, or a parameter its
-block does not admit, must keep its exit code and print nothing.  A
+output, the sha256 of its standard error and its exit code must match
+``tests/data/gadgets_sha256.json``.  Refusals are pinned too: a kind
+without a block, or a parameter its block does not admit, must keep its
+exit code and its message, and print nothing on standard output.  A
 change that alters the output on purpose regenerates the file with
 ``PYTHONPATH=src python tests/test_gadget_pins.py`` and says why.
 """
@@ -70,14 +71,13 @@ def gadget_pins() -> dict[str, dict[str, object]]:
             carrier_paths[name] = str(path)
         pins = {}
         for name, argv in gadget_commands(carrier_paths).items():
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(
-                io.StringIO()
-            ):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = run_command(argv)
             pins[name] = {
                 "exit": code,
                 "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
+                "stderr_sha256": hashlib.sha256(err.getvalue().encode()).hexdigest(),
             }
         return pins
 
