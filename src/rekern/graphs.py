@@ -4,13 +4,16 @@ Vertices are dense 0-based integers.  Graphs are immutable: every
 operation returns a fresh graph, so an original and a locally modified
 instance can be held side by side.
 
-A graph builds its adjacency lazily, from its edges, on first use.  The
-one exception is an edge addition: ``apply_modification`` derives the
-new graph's adjacency from the parent graph's, sharing every neighbour
-set except the two endpoints'.  Every other operation (edge or vertex
-deletion, vertex addition, ``induced_subgraph``, ``disjoint_union``)
-re-indexes or filters the parent's edges and leaves the adjacency of
-its result to be built when needed.
+A graph builds its adjacency lazily, from its edges, on first use, so
+only a reader of the adjacency pays for it.  The one exception is an
+edge addition to a parent that already holds an adjacency:
+``apply_modification`` derives the new graph's from the parent's,
+sharing every neighbour set except the two endpoints'.  From a parent
+without one, the new graph builds its own when first read.  Every other
+operation (edge or vertex deletion, vertex addition,
+``induced_subgraph``, ``disjoint_union``) re-indexes or filters the
+parent's edges and leaves the adjacency of its result to be built when
+needed.
 """
 
 from __future__ import annotations
@@ -75,6 +78,12 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         return tuple(map(frozenset, adj))
+
+    @property
+    def holds_adjacency(self) -> bool:
+        """Whether the adjacency is already built or derived, so that
+        reading it costs nothing."""
+        return "adjacency" in self.__dict__
 
     @property
     def vertices(self) -> range:
@@ -192,13 +201,16 @@ def apply_modification(g: Graph, m: LocalModification) -> Graph:
 
     Vertex addition appends index ``g.n``; vertex deletion re-indexes the
     remaining vertices densely while preserving their labels.  An edge
-    addition derives the new graph's adjacency from ``g``'s; the other
-    modifications leave it to be built from the new edges.
+    addition derives the new graph's adjacency from ``g``'s when ``g``
+    already holds one; otherwise, as after every other modification, the
+    new graph builds its own from its edges when first read.
     """
     check_modification(g, m)
     if isinstance(m, EdgeAdd):
         u, v = normalize_edge(m.u, m.v)
         added = _unchecked(g.n, g.edges | {(u, v)}, g.labels)
+        if not g.holds_adjacency:
+            return added
         adjacency = list(g.adjacency)
         adjacency[u] |= {v}
         adjacency[v] |= {u}

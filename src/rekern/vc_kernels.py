@@ -9,6 +9,9 @@ after the new edge lands inside the independent rest ``B``.
 The reoptimization kernel runs on the input graph itself, with one
 partner lookup per matching: an isolated vertex leaves the cover and so
 falls into the crown.  The classic kernel strips isolated vertices.
+Both return graphs without cached state: a kernel that keeps every
+vertex is a bare copy sharing the input's edge set, so no result holds
+an adjacency that only the kernelizer read.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .errors import (
 from .graphs import (
     EdgeAdd,
     Graph,
+    _unchecked,
     apply_modification,
     induced_subgraph,
     normalize_edge,
@@ -93,7 +97,10 @@ def vc_kernelize_3k(g: Graph, k: int) -> KernelResult:
         if cur.n == 0:
             return KernelResult.decided(True)
         if cur.n <= 3 * budget:
-            return KernelResult.reduced(cur, budget, size_bound_claim=3 * budget)
+            # A bare copy: ``cur`` may be the caller's graph, holding an
+            # adjacency that no reader of the kernel needs.
+            kernel = _unchecked(cur.n, cur.edges, cur.labels)
+            return KernelResult.reduced(kernel, budget, size_bound_claim=3 * budget)
         outcome = crown_or_matching(cur, budget)
         if outcome.matching is not None:
             # k + 1 disjoint edges need k + 1 distinct cover vertices.
@@ -128,10 +135,10 @@ def _finish(
     if not crown:
         if head:
             raise InternalInvariantBroken("empty crown with non-empty head")
-        # A fresh value, so the kernel holds no adjacency: the one that
+        # A bare copy, so the kernel holds no adjacency: the one that
         # ``modified`` carries may share its neighbour sets with the
         # graph it was derived from.
-        residual = Graph(modified.n, modified.edges, modified.labels)
+        residual = _unchecked(modified.n, modified.edges, modified.labels)
         parameter = budget
     else:
         cd = CrownDecomposition(crown, head, rest, saturating)
@@ -185,17 +192,22 @@ def reopt_vc_kernelize_2k_report(inst: ReoptInstance) -> ReoptVcReport:
     g = inst.original
     if not all(isinstance(x, int) and 0 <= x < g.n for x in cover):
         raise WitnessNotACover(f"witness has vertices outside 0..{g.n - 1}")
+    u, v = inst.modification.u, inst.modification.v
+    touches_cover = u in cover or v in cover
+    if not touches_cover:
+        # Every branch but the trivial one reads the adjacency, so build it
+        # now and let the cover check read it instead of scanning the edges.
+        g.adjacency
     if not is_vertex_cover(g, cover):
         raise WitnessNotACover("witness does not cover every edge")
     if len(cover) > inst.k:
         raise WitnessNotACover(f"witness has {len(cover)} > k = {inst.k} vertices")
-    u, v = inst.modification.u, inst.modification.v
     budget = inst.k_modified
     claim = 2 * inst.k
     trace: list[str] = []
 
     # The old cover still covers G + e when the new edge touches it.
-    if u in cover or v in cover:
+    if touches_cover:
         trace.append("trivial")
         if len(cover) <= budget:
             return ReoptVcReport(KernelResult.decided(True), "trivial", tuple(trace))

@@ -49,6 +49,23 @@ def test_vertex_del_reindexes_and_keeps_labels():
     assert out.labels == ("b", "c")
 
 
+def test_edge_add_derives_an_adjacency_only_from_a_parent_that_holds_one():
+    from rekern.smallgraphs import all_graphs_upto
+    from tests.conftest import absent_pairs
+
+    for g in all_graphs_upto(6):
+        for u, v in absent_pairs(g):
+            # fresh copies: the atlas graphs are shared between tests
+            bare, held = Graph(g.n, g.edges), Graph(g.n, g.edges)
+            held.adjacency
+            child = apply_modification(bare, EdgeAdd(u, v))
+            assert "adjacency" not in bare.__dict__
+            assert "adjacency" not in child.__dict__
+            child = apply_modification(held, EdgeAdd(u, v))
+            assert "adjacency" in child.__dict__
+            assert child.adjacency == Graph(child.n, child.edges).adjacency
+
+
 def test_edge_add_existing_rejected():
     with pytest.raises(ModificationInvalid):
         apply_modification(path_graph(3), EdgeAdd(0, 1))

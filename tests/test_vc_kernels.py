@@ -11,6 +11,7 @@ from rekern.graphs import (
     EdgeAdd,
     EdgeDel,
     Graph,
+    apply_modification,
     complete_graph,
     path_graph,
     star_graph,
@@ -121,6 +122,14 @@ def test_3k_kernel_bound_and_equivalence(rng):
         if out.is_reduced:
             assert out.graph.n <= 3 * out.parameter
         assert verify_kernel_equivalence(PK.VERTEX_COVER, g, k, out)
+
+
+def test_3k_kernel_holds_no_adjacency_of_its_input():
+    g = path_graph(4)
+    g.adjacency
+    out = vc_kernelize_3k(g, 2)
+    assert out.is_reduced and out.graph == g and out.graph.edges is g.edges
+    assert "adjacency" not in out.graph.__dict__
 
 
 # --- partition ---------------------------------------------------------------
@@ -271,6 +280,34 @@ def test_reopt_exhaustive_small(rng):
                         )
                         assert rep.result.graph.n <= bound
     assert "trivial" in seen_branches and "case1" in seen_branches
+
+
+def test_reopt_builds_an_adjacency_only_where_it_is_read():
+    """A trivial "yes" leaves its input without an adjacency, every other
+    branch builds the input's, and no kernel holds one: neither the 2k
+    kernel's residual, with or without a crown removed, nor the 3k kernel
+    of a modified graph derived from an input that holds one."""
+    from tests.conftest import absent_pairs, all_labeled_graphs
+
+    seen = set()
+    for n in range(2, 5):
+        for g in all_labeled_graphs(n):
+            for cover in all_minimum_vertex_covers(g):
+                k = len(cover)
+                for u, v in absent_pairs(g):
+                    h = Graph(g.n, g.edges)
+                    result = reopt_vc_kernelize_2k_report(
+                        vc_instance(h, k, cover, u, v)
+                    ).result
+                    trivial_yes = u in cover or v in cover
+                    assert ("adjacency" in h.__dict__) is not trivial_yes
+                    classic = vc_kernelize_3k(apply_modification(h, EdgeAdd(u, v)), k)
+                    for out in (result, classic):
+                        if out.is_reduced:
+                            assert "adjacency" not in out.graph.__dict__
+                    if result.is_reduced:
+                        seen.add("kept" if result.graph.n == n else "crown removed")
+    assert seen == {"kept", "crown removed"}
 
 
 def test_reopt_non_tight_witness(rng):
