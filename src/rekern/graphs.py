@@ -80,12 +80,6 @@ class Graph:
         return tuple(map(frozenset, adj))
 
     @property
-    def holds_adjacency(self) -> bool:
-        """Whether the adjacency is already built or derived, so that
-        reading it costs nothing."""
-        return "adjacency" in self.__dict__
-
-    @property
     def vertices(self) -> range:
         return range(self.n)
 
@@ -209,7 +203,7 @@ def apply_modification(g: Graph, m: LocalModification) -> Graph:
     if isinstance(m, EdgeAdd):
         u, v = normalize_edge(m.u, m.v)
         added = _unchecked(g.n, g.edges | {(u, v)}, g.labels)
-        if not g.holds_adjacency:
+        if "adjacency" not in g.__dict__:  # not yet built: leave it lazy
             return added
         adjacency = list(g.adjacency)
         adjacency[u] |= {v}

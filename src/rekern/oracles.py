@@ -105,15 +105,10 @@ def _lex_first(a: int, b: int) -> bool:
 
 def is_vertex_cover(g: Graph, candidate: Iterable[int]) -> bool:
     """Whether ``candidate`` is a vertex set of ``g`` that covers every
-    edge.  A graph that holds its adjacency is checked vertex by vertex
-    (each vertex outside the set has all its neighbours inside); any
-    other is checked edge by edge, without building one."""
+    edge.  The check scans the edges and builds no adjacency."""
     cover = set(candidate)
     if cover and not (0 <= min(cover) and max(cover) < g.n):
         return False
-    if g.holds_adjacency:
-        adjacency = g.adjacency
-        return all(adjacency[v] <= cover for v in range(g.n) if v not in cover)
     return all(u in cover or v in cover for u, v in g.edges)
 
 

@@ -192,22 +192,17 @@ def reopt_vc_kernelize_2k_report(inst: ReoptInstance) -> ReoptVcReport:
     g = inst.original
     if not all(isinstance(x, int) and 0 <= x < g.n for x in cover):
         raise WitnessNotACover(f"witness has vertices outside 0..{g.n - 1}")
-    u, v = inst.modification.u, inst.modification.v
-    touches_cover = u in cover or v in cover
-    if not touches_cover:
-        # Every branch but the trivial one reads the adjacency, so build it
-        # now and let the cover check read it instead of scanning the edges.
-        g.adjacency
     if not is_vertex_cover(g, cover):
         raise WitnessNotACover("witness does not cover every edge")
     if len(cover) > inst.k:
         raise WitnessNotACover(f"witness has {len(cover)} > k = {inst.k} vertices")
+    u, v = inst.modification.u, inst.modification.v
     budget = inst.k_modified
     claim = 2 * inst.k
     trace: list[str] = []
 
     # The old cover still covers G + e when the new edge touches it.
-    if touches_cover:
+    if u in cover or v in cover:
         trace.append("trivial")
         if len(cover) <= budget:
             return ReoptVcReport(KernelResult.decided(True), "trivial", tuple(trace))
