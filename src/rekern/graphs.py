@@ -13,12 +13,13 @@ without one, the new graph builds its own when first read.  Every other
 operation (edge or vertex deletion, vertex addition,
 ``induced_subgraph``, ``disjoint_union``) re-indexes or filters the
 parent's edges and leaves the adjacency of its result to be built when
-needed.
+needed; an induced subgraph on every vertex shares the parent's edge
+set instead.  ``components`` reads the edges alone, by union-find, and
+builds no adjacency either.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Container, Iterable, Sequence
@@ -186,7 +187,11 @@ def check_modification(g: Graph, m: LocalModification) -> None:
 def _unchecked(n: int, edges: frozenset[Edge], labels: tuple[str, ...] | None) -> Graph:
     """A graph made from a checked one by a checked change: not checked again."""
     g = object.__new__(Graph)
-    g.__dict__.update(n=n, edges=edges, labels=labels)
+    # Set like the frozen dataclass's own ``__init__``: writing through
+    # ``__dict__`` would give every copy an instance dict.
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "edges", edges)
+    object.__setattr__(g, "labels", labels)
     return g
 
 
@@ -235,24 +240,35 @@ def apply_modification(g: Graph, m: LocalModification) -> Graph:
 
 
 def components(g: Graph) -> list[list[int]]:
-    """Connected components as sorted vertex lists, ordered by smallest vertex."""
-    seen = [False] * g.n
-    result: list[list[int]] = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        comp = []
-        queue = deque([start])
-        seen[start] = True
-        while queue:
-            x = queue.popleft()
-            comp.append(x)
-            for y in g.adjacency[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    queue.append(y)
-        result.append(sorted(comp))
-    return result
+    """Connected components as sorted vertex lists, ordered by smallest vertex.
+
+    Union-find over the edges, with path halving, links the larger root
+    under the smaller (Tarjan 1975), so each root is its component's
+    smallest vertex and every parent is below its child.  No adjacency is
+    built.
+    """
+    parent = list(range(g.n))
+    for u, v in g.edges:
+        # Path halving: point each vertex passed at its grandparent.
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u < v:
+            parent[v] = u
+        elif v < u:
+            parent[u] = v
+    # Roots come up in ascending order, so the dict keeps that order.
+    by_root: dict[int, list[int]] = {}
+    for v in range(g.n):
+        # ``parent[v]`` is below ``v``, so it was visited first and its
+        # own parent is now the root.
+        root = parent[v] = parent[parent[v]]
+        if root == v:
+            by_root[v] = [v]
+        else:
+            by_root[root].append(v)
+    return list(by_root.values())
 
 
 def reach_within(g: Graph, start: int, within: Container[int]) -> set[int]:
@@ -293,12 +309,15 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     """Induced subgraph plus the index map back to ``g``.
 
     The returned tuple maps each new index to its original vertex; it is a
-    bijection onto the chosen vertex set.
+    bijection onto the chosen vertex set.  Choosing every vertex gives a
+    bare copy of ``g``, with no adjacency, that shares its edge set.
     """
     index_map = tuple(sorted(set(vertices)))
     if index_map and not (0 <= index_map[0] and index_map[-1] < g.n):
         for v in index_map:
             g._check_vertex(v)
+    if len(index_map) == g.n:
+        return _unchecked(g.n, g.edges, g.labels), index_map
     back = [-1] * g.n  # the new index of each chosen vertex
     for new, old in enumerate(index_map):
         back[old] = new

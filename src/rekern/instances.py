@@ -1,4 +1,8 @@
-"""Reoptimization instances and kernelization results."""
+"""Reoptimization instances and kernelization results.
+
+A decided result holds nothing but its answer, so ``KernelResult.decided``
+hands out one of two shared values, one for yes and one for no.
+"""
 
 from __future__ import annotations
 
@@ -50,7 +54,7 @@ class ReoptInstance:
         return apply_modification(self.original, self.modification)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KernelResult:
     """Either a decided yes/no answer or a reduced (graph, parameter) pair.
 
@@ -84,6 +88,9 @@ class KernelResult:
 
     @classmethod
     def decided(cls, answer: bool) -> "KernelResult":
+        """A yes or no answer; a ``bool`` gets one of two shared values."""
+        if isinstance(answer, bool):
+            return _DECIDED[answer]
         return cls(kind="decided", answer=answer)
 
     @classmethod
@@ -105,6 +112,10 @@ class KernelResult:
     def is_reduced(self) -> bool:
         return self.kind == "reduced"
 
+
+_DECIDED = {
+    answer: KernelResult(kind="decided", answer=answer) for answer in (False, True)
+}
 
 _YES_INSTANCE = Graph.from_edges(2, [(0, 1)])
 

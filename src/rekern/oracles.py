@@ -67,7 +67,7 @@ from .setcover import SetCoverInstance
 LEAF_OUT_TREE_ARC_GUARD = 14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExactSolution:
     value: int | None
     witness: Any | None

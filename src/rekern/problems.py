@@ -7,31 +7,38 @@ from dataclasses import dataclass
 from enum import Enum
 
 
-class Direction(Enum):
+class _IdentityEnum(Enum):
+    # Enum members are equal only to themselves, so identity hashing agrees
+    # with equality and skips ``Enum.__hash__``, a Python-level call on
+    # every oracle cache key and problem-table or dispatch-table lookup.
+    __hash__ = object.__hash__
+
+
+class Direction(_IdentityEnum):
     MIN = "min"  # cost <= k
     MAX = "max"  # cost >= k
 
 
-class Monotonicity(Enum):
+class Monotonicity(_IdentityEnum):
     MONOTONE = "monotone"  # closed under removal of edges and vertices
     COMONOTONE = "comonotone"  # closed under addition
     NEITHER = "neither"
 
 
-class Compositionality(Enum):
+class Compositionality(_IdentityEnum):
     OR = "or"
     AND = "and"
     NEITHER = "neither"
 
 
-class WitnessShape(Enum):
+class WitnessShape(_IdentityEnum):
     VERTEX_SET = "vertex_set"
     VERTEX_SEQUENCE = "vertex_sequence"  # a path, or set cover's chosen indices
     PAIR_SET = "pair_set"  # edges of a subtree, or arcs of an out-tree
     TREE_DECOMPOSITION = "tree_decomposition"
 
 
-class ProblemKind(Enum):
+class ProblemKind(_IdentityEnum):
     VERTEX_COVER = "vertex_cover"
     CONNECTED_VERTEX_COVER = "connected_vertex_cover"
     IVST = "ivst"
@@ -40,11 +47,6 @@ class ProblemKind(Enum):
     SET_COVER = "set_cover"
     TREEWIDTH = "treewidth"
     LEAF_OUT_TREE = "leaf_out_tree"
-
-    # Enum members are equal only to themselves, so identity hashing agrees
-    # with equality and skips ``Enum.__hash__``, a Python-level call on
-    # every oracle cache key and problem-table lookup.
-    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)

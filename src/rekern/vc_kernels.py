@@ -112,13 +112,17 @@ def vc_kernelize_3k(g: Graph, k: int) -> KernelResult:
 # --- reoptimization 2k kernel ------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReoptVcReport:
     """Kernelization outcome plus the dispatch branch taken."""
 
     result: KernelResult
     branch: str
     trace: tuple[str, ...]
+
+
+# The old cover, small enough, answers yes: one report serves every such call.
+_TRIVIAL_YES = ReoptVcReport(KernelResult.decided(True), "trivial", ("trivial",))
 
 
 def _finish(
@@ -203,9 +207,9 @@ def reopt_vc_kernelize_2k_report(inst: ReoptInstance) -> ReoptVcReport:
 
     # The old cover still covers G + e when the new edge touches it.
     if u in cover or v in cover:
-        trace.append("trivial")
         if len(cover) <= budget:
-            return ReoptVcReport(KernelResult.decided(True), "trivial", tuple(trace))
+            return _TRIVIAL_YES
+        trace.append("trivial")
         modified = apply_modification(g, inst.modification)
         return _reduce_with_cover(modified, cover, budget, claim, "trivial", trace)
 

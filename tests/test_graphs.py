@@ -180,3 +180,53 @@ def test_induced_subgraph_index_map():
     sub, idx = induced_subgraph(g, [0, 2, 3])
     assert sub.n == 3 and idx == (0, 2, 3)
     assert sub.edges == frozenset({(1, 2)})  # only 2-3 survives
+
+
+def _bfs_components(g):
+    """Reference split: breadth-first search over the neighbour sets."""
+    from collections import deque
+
+    seen = [False] * g.n
+    result = []
+    for start in range(g.n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp, queue = [], deque([start])
+        while queue:
+            x = queue.popleft()
+            comp.append(x)
+            for y in g.adjacency[x]:
+                if not seen[y]:
+                    seen[y] = True
+                    queue.append(y)
+        result.append(sorted(comp))
+    return result
+
+
+def test_components_equal_a_breadth_first_split_and_build_no_adjacency(rng):
+    """Every atlas graph up to 7 vertices, under three seeded relabellings
+    each, the empty graph, and graphs with isolated vertices."""
+    from rekern.smallgraphs import all_graphs_upto
+
+    cases = [Graph.from_edges(0), Graph.from_edges(4), Graph.from_edges(6, [(1, 4)])]
+    for g in all_graphs_upto(7):
+        for _ in range(3):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            cases.append(Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges]))
+    for g in cases:
+        got = components(g)
+        assert "adjacency" not in g.__dict__
+        assert got == _bfs_components(g)
+
+
+def test_induced_subgraph_on_every_vertex_shares_the_edge_set():
+    g = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)], labels=list("abcde"))
+    g.adjacency  # a held adjacency is not carried over
+    sub, idx = induced_subgraph(g, range(g.n))
+    assert sub == g and sub.edges is g.edges and sub.labels == g.labels
+    assert idx == tuple(range(g.n))
+    assert "adjacency" not in sub.__dict__
+    with pytest.raises(VertexOutOfRange):
+        induced_subgraph(g, [g.n])

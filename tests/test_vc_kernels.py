@@ -16,7 +16,7 @@ from rekern.graphs import (
     path_graph,
     star_graph,
 )
-from rekern.instances import ReoptInstance
+from rekern.instances import KernelResult, ReoptInstance
 from rekern.matching import Matching
 from rekern.oracles import (
     all_minimum_vertex_covers,
@@ -189,6 +189,23 @@ def test_reopt_trivial_yes():
     g = path_graph(4)
     rep = reopt_vc_kernelize_2k_report(vc_instance(g, 2, frozenset({1, 2}), 0, 2))
     assert rep.branch == "trivial" and rep.result.answer is True
+    assert rep.trace == ("trivial",)
+    again = reopt_vc_kernelize_2k_report(vc_instance(g, 3, frozenset({1, 2}), 1, 3))
+    assert again is rep
+
+
+def test_decided_results_are_shared_and_result_types_have_no_dict():
+    for answer in (False, True):
+        shared = KernelResult.decided(answer)
+        assert shared is KernelResult.decided(answer)
+        assert shared == KernelResult(kind="decided", answer=answer)
+    with pytest.raises(ValueError):
+        KernelResult.decided(None)
+    rep = reopt_vc_kernelize_2k_report(vc_instance(path_graph(5), 2, {1, 3}, 0, 4))
+    assert rep.result.is_reduced
+    solution = solve_exact(PK.VERTEX_COVER, path_graph(3))
+    for value in (rep, rep.result, KernelResult.decided(True), solution):
+        assert not hasattr(value, "__dict__")
 
 
 def test_reopt_trivial_tight_budget_reduces():
