@@ -9,7 +9,6 @@ all cross-checked against built-in brute-force exact oracles.
 from .crown import CrownDecomposition, crown_or_matching, validate_crown
 from .decomposition import TreeDecomposition, validate_tree_decomposition
 from .framework import (
-    ComponentKernelizer,
     Compositionality,
     Monotonicity,
     ProblemSpec,
@@ -63,7 +62,6 @@ from .vc_kernels import (
     ReoptVcReport,
     build_reopt_partition,
     crown_reduce_vc,
-    reopt_vc_kernelize_2k,
     reopt_vc_kernelize_2k_report,
     vc_kernelize_3k,
 )
@@ -76,7 +74,6 @@ __all__ = [
     "validate_crown",
     "TreeDecomposition",
     "validate_tree_decomposition",
-    "ComponentKernelizer",
     "Compositionality",
     "Monotonicity",
     "ProblemSpec",
@@ -123,7 +120,6 @@ __all__ = [
     "ReoptVcReport",
     "build_reopt_partition",
     "crown_reduce_vc",
-    "reopt_vc_kernelize_2k",
     "reopt_vc_kernelize_2k_report",
     "vc_kernelize_3k",
 ]

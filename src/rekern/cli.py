@@ -268,6 +268,8 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
     """Deterministic random corpus of vertex-cover reoptimization instances."""
     if args.max_n < 3:
         raise ParseError("--max-n must be at least 3")
+    if args.count < 0:
+        raise ParseError("--count must not be negative")
     rng = random.Random(args.seed)
     emitted = 0
     documents = []

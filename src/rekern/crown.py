@@ -123,8 +123,7 @@ def _partition_from_matching(
     matched = m.vertices()
     a_unmatched = cover - matched
     b_unmatched = b - matched
-    a1, b1 = alternating_reachability(g, cover, b, m, "B")
-    a2, b2 = alternating_reachability(g, cover, b, m, "A")
+    a1, b1, a2, b2 = alternating_reachability(g, cover, b, m)
     if not all(reached <= matched for reached in (a1, a2, b1, b2)):
         raise InternalInvariantBroken(
             "alternating search reached an unmatched vertex; matching not maximum"

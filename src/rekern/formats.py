@@ -335,12 +335,6 @@ def parse_dimacs(text: str) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def emit_dimacs(g: Graph) -> str:
-    lines = [f"p edge {g.n} {len(g.edges)}"]
-    lines.extend(f"e {u + 1} {v + 1}" for u, v in g.sorted_edges())
-    return "\n".join(lines) + "\n"
-
-
 def parse_instance(text: str) -> InstanceDocument:
     """Parse either format; JSON documents start with '{'."""
     stripped = text.lstrip()

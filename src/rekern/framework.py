@@ -29,21 +29,18 @@ from .graphs import (
     induced_subgraph,
 )
 from .instances import KernelResult, ReoptInstance, as_concrete_instance
-from .oracles import membership, verify_solution
-from .problems import PROBLEMS, Compositionality, Direction, Monotonicity, ProblemKind
+from .oracles import membership
+from .problems import PROBLEMS, Compositionality, Monotonicity, ProblemKind
 
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Declared properties of a parameterized graph problem, plus hooks
-    for its verifier and a desk-scale exact membership oracle."""
+    """Declared properties of a parameterized graph problem, plus a
+    desk-scale exact membership oracle."""
 
     name: str
-    kind: ProblemKind
-    direction: Direction
     monotonicity: Monotonicity
     compositionality: Compositionality
-    verifier: Callable[[Graph, int, object], bool]
     oracle: Callable[[Graph, int], bool]
 
 
@@ -61,34 +58,21 @@ def builtin_spec(kind: ProblemKind) -> ProblemSpec:
         raise UnsupportedCombination(f"no compositional spec for {kind}")
     return ProblemSpec(
         name=kind.value,
-        kind=kind,
-        direction=row.direction,
         monotonicity=row.monotonicity,
         compositionality=row.compositionality,
-        verifier=lambda g, k, cand: verify_solution(kind, g, cand, k),
         oracle=lambda g, k: membership(kind, g, k),
     )
 
 
-@dataclass(frozen=True)
-class ComponentKernelizer:
-    """A kernelizer applied to one connected component at a time."""
-
-    name: str
-    run: Callable[[Graph, int], KernelResult]
-
-
-def exact_component_kernelizer(kind: ProblemKind) -> ComponentKernelizer:
-    """Desk-scale component kernelizer backed by the exact oracle.
+def exact_component_kernelizer(kind: ProblemKind) -> Callable[[Graph, int], KernelResult]:
+    """Desk-scale component kernelizer backed by the exact oracle: a
+    function of one connected component and the parameter.
 
     Not polynomial time in general; this seam is where an external
     per-component kernel (e.g. a 2k connected-instance kernel) would
     attach in a production deployment.
     """
-    return ComponentKernelizer(
-        name=f"exact-{kind.value}",
-        run=lambda comp, k: KernelResult.decided(membership(kind, comp, k)),
-    )
+    return lambda comp, k: KernelResult.decided(membership(kind, comp, k))
 
 
 def environment(
@@ -153,7 +137,7 @@ def _combine(results: list[KernelResult], or_mode: bool) -> KernelResult:
 def compositional_reopt_kernelize(
     inst: ReoptInstance,
     spec: ProblemSpec,
-    ck: ComponentKernelizer,
+    ck: Callable[[Graph, int], KernelResult],
     *,
     max_env_components: int = 8,
 ) -> KernelResult:
@@ -202,7 +186,7 @@ def compositional_reopt_kernelize(
         return KernelResult.decided(True)
     if parts is None:
         parts = environment(inst.original, inst.modification)
-    results = [ck.run(comp, inst.k_modified) for comp, _ in parts]
+    results = [ck(comp, inst.k_modified) for comp, _ in parts]
     return _combine(results, or_mode)
 
 
@@ -221,7 +205,7 @@ def _avoids(witness: Any, m: LocalModification) -> bool:
 
 def ivst_reopt_kernelize_eplus(
     inst: ReoptInstance,
-    ck: ComponentKernelizer,
+    ck: Callable[[Graph, int], KernelResult],
     *,
     prior_kernel: Graph | None = None,
 ) -> KernelResult:
@@ -240,7 +224,7 @@ def ivst_reopt_kernelize_eplus(
         raise SpecModificationMismatch("expected an IVST instance under edge addition")
     if prior_kernel is not None:
         [(comp, _)] = environment(inst.original, inst.modification)
-        env_kernel, _ = as_concrete_instance(ck.run(comp, inst.k_modified))
+        env_kernel, _ = as_concrete_instance(ck(comp, inst.k_modified))
         union = disjoint_union(prior_kernel, env_kernel)
         return KernelResult.reduced(union, inst.k_modified, size_bound_claim=union.n)
     return compositional_reopt_kernelize(inst, builtin_spec(ProblemKind.IVST), ck)

@@ -91,19 +91,11 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return normalize_edge(u, v) in self.edges
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        self._check_vertex(v)
-        return self.adjacency[v]
-
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
 
     def isolated_vertices(self) -> list[int]:
         return [v for v in range(self.n) if not self.adjacency[v]]
-
-    def label_of(self, v: int) -> str | None:
-        self._check_vertex(v)
-        return self.labels[v] if self.labels is not None else None
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):

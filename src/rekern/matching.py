@@ -240,31 +240,23 @@ def maximum_bipartite_matching(
 
 
 def alternating_reachability(
-    g: Graph,
-    side_a: Iterable[int],
-    side_b: Iterable[int],
-    m: Matching,
-    start_side: str,
-) -> tuple[frozenset[int], frozenset[int]]:
-    """Closure of alternating paths from the unmatched vertices of one side.
+    g: Graph, side_a: Iterable[int], side_b: Iterable[int], m: Matching
+) -> tuple[frozenset[int], frozenset[int], frozenset[int], frozenset[int]]:
+    """Closures of alternating paths from the unmatched vertices of each
+    side, as ``(a1, b1, a2, b2)``: ``a1``/``b1`` are reached from the
+    unmatched side-B vertices, ``a2``/``b2`` from the unmatched side-A ones.
 
-    ``start_side`` is ``"B"`` (start at unmatched side-B vertices) or
-    ``"A"``.  Paths leave the start side over non-matching edges and come
-    back over matching edges, so for a maximum matching the reached
-    vertices on the opposite side are all matched and the reached vertices
-    on the start side are exactly their partners.  The starting unmatched
-    vertices themselves are not reported.  The result is a closure, so the
-    search visits vertices in no particular order.
+    Paths leave the start side over non-matching edges and come back over
+    matching edges, so for a maximum matching the reached vertices on the
+    opposite side are all matched and the reached vertices on the start
+    side are exactly their partners.  The starting unmatched vertices
+    themselves are not reported.  The sides are checked and the side mask
+    filled once; each search runs on its own copy of the mask, so each
+    closure is what a search of its own would give, and the two can
+    share a vertex only when the matching is not maximum.
     """
     a_set, b_set = frozenset(side_a), frozenset(side_b)
     _check_sides(g, a_set, b_set)
-    if start_side == "B":
-        near, near_side, far_side = b_set, _B, _A
-    elif start_side == "A":
-        near, near_side, far_side = a_set, _A, _B
-    else:
-        raise ValueError("start_side must be 'A' or 'B'")
-
     partners = m._partners
     side = bytearray(g.n)  # the side mask; a reached vertex leaves its side
     for a in a_set:
@@ -272,23 +264,28 @@ def alternating_reachability(
     for b in b_set:
         side[b] = _B
     adjacency = g.adjacency
-    # A partner is matched, so it is never one of the unmatched starts.
-    frontier = list(near.difference(partners))
-    reached_far: list[int] = []
-    reached_near: list[int] = []
-    while frontier:
-        for y in adjacency[frontier.pop()]:
-            if side[y] == far_side:
-                side[y] = 0
-                reached_far.append(y)
-                partner = partners.get(y)
-                if partner is not None and side[partner] == near_side:
-                    side[partner] = 0
-                    reached_near.append(partner)
-                    frontier.append(partner)
-    reached_a = frozenset(reached_far if start_side == "B" else reached_near)
-    reached_b = frozenset(reached_near if start_side == "B" else reached_far)
-    return reached_a, reached_b
+    closures = []
+    for near, near_side, far_side, mask in (
+        (b_set, _B, _A, bytearray(side)),
+        (a_set, _A, _B, side),
+    ):
+        # A partner is matched, so it is never one of the unmatched starts.
+        frontier = list(near.difference(partners))
+        reached_far: list[int] = []
+        reached_near: list[int] = []
+        while frontier:
+            for y in adjacency[frontier.pop()]:
+                if mask[y] == far_side:
+                    mask[y] = 0
+                    reached_far.append(y)
+                    partner = partners.get(y)
+                    if partner is not None and mask[partner] == near_side:
+                        mask[partner] = 0
+                        reached_near.append(partner)
+                        frontier.append(partner)
+        closures.append((frozenset(reached_far), frozenset(reached_near)))
+    (a1, b1), (b2, a2) = closures
+    return a1, b1, a2, b2
 
 
 def rematch_to_expose(

@@ -30,14 +30,16 @@ meets the degeneracy, that order is the witness.  Otherwise the subset
 DP reads each fill degree from a table of Q(S, v), the vertices outside
 S that v reaches through S.  Every treewidth witness passes the
 validator on every solve.  ``solve_exact`` runs one component loop for
-all five, which a connected graph skips, and memoizes each component on
-the unlabelled ``(n, edges)`` in a bounded LRU cache
-(``_solve_component``), because kernel checks and compositional dispatch
-ask about the same small graphs again and again.  Size guards run before
-every lookup, so a cached answer never bypasses a guard.  Each kind's
-solver, verifier and component combine rule sit in one table
-(``_ORACLES``); its size guard, witness shape and direction come from
-its row in ``rekern.problems``.
+all five and memoizes each component on the unlabelled ``(n, edges)`` in
+a bounded LRU cache (``_solve_component``), because kernel checks and
+compositional dispatch ask about the same small graphs again and again.
+The loop splits the graph by union-find, which builds nothing, and
+guards every component by its size before any is copied or solved, so
+no adjacency of an over-large input is ever built and a cached answer
+never bypasses a guard.  A graph with at most one component is solved
+in place.  Each kind's solver, verifier and component combine rule sit
+in one table (``_ORACLES``); its size guard, witness shape and direction
+come from its row in ``rekern.problems``.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ from .graphs import (
     adjacency_masks,
     components,
     induced_subgraph,
-    mask_reach,
     normalize_edge,
     reach_within,
 )
@@ -79,13 +80,6 @@ def _guard(kind: ProblemKind, size: int, limit: int | None) -> None:
         raise SizeGuardExceeded(
             f"{kind.value} oracle limited to {cap}, got instance of size {size}"
         )
-
-
-def _connected(g: Graph) -> bool:
-    """Whether ``g`` has at most one component, by a search on its
-    adjacency masks."""
-    every = (1 << g.n) - 1
-    return mask_reach(adjacency_masks(g), every & 1, every) == every
 
 
 def _vertex_set(mask: int) -> frozenset[int]:
@@ -147,17 +141,6 @@ def _solve_vertex_cover(g: Graph) -> ExactSolution:
 
     branch((1 << g.n) - 1, 0, 0)
     return ExactSolution(best_size, _vertex_set(best))
-
-
-def all_minimum_vertex_covers(g: Graph) -> list[frozenset[int]]:
-    """Every minimum vertex cover, by exhaustive enumeration (tiny graphs)."""
-    opt = _solve_vertex_cover(g).value
-    assert opt is not None
-    return [
-        frozenset(subset)
-        for subset in combinations(range(g.n), opt)
-        if is_vertex_cover(g, subset)
-    ]
 
 
 # --- connected vertex cover ------------------------------------------------
@@ -911,14 +894,15 @@ def solve_exact(
     if combine is None:
         return solve(instance, limit, cvc_budget)
     g = instance
-    if _connected(g):  # one component: its own labels, so no copy to map back
-        _guard(kind, g.n, limit)
+    comps = components(g)
+    # Guarding the largest part guards them all, before any is copied or solved.
+    _guard(kind, max(map(len, comps), default=0), limit)
+    if len(comps) <= 1:  # its own labels, so no copy to map back
         return _solve_component(kind, g.n, g.edges)
     map_witness = _MAP_WITNESS[PROBLEMS[kind].witness]
     parts = []
-    for comp in components(g):
+    for comp in comps:
         sub, idx = induced_subgraph(g, comp)
-        _guard(kind, sub.n, limit)
         local = _solve_component(kind, sub.n, sub.edges)
         parts.append(ExactSolution(local.value, map_witness(local.witness, idx)))
     return combine(parts)

@@ -114,15 +114,21 @@ def vc_kernelize_3k(g: Graph, k: int) -> KernelResult:
 
 @dataclass(frozen=True, slots=True)
 class ReoptVcReport:
-    """Kernelization outcome plus the dispatch branch taken."""
+    """Kernelization outcome plus the dispatch steps taken, in order."""
 
     result: KernelResult
-    branch: str
     trace: tuple[str, ...]
+
+    @property
+    def branch(self) -> str:
+        """The dispatch branch: the first step, with ``case5`` for every
+        ``case5-*`` step."""
+        first = self.trace[0]
+        return "case5" if first.startswith("case5-") else first
 
 
 # The old cover, small enough, answers yes: one report serves every such call.
-_TRIVIAL_YES = ReoptVcReport(KernelResult.decided(True), "trivial", ("trivial",))
+_TRIVIAL_YES = ReoptVcReport(KernelResult.decided(True), ("trivial",))
 
 
 def _finish(
@@ -133,7 +139,6 @@ def _finish(
     saturating: Matching,
     budget: int,
     claim: int,
-    branch: str,
     trace: list[str],
 ) -> ReoptVcReport:
     if not crown:
@@ -158,22 +163,20 @@ def _finish(
         result = KernelResult.decided(True)
     else:
         result = KernelResult.reduced(residual, parameter, size_bound_claim=claim)
-    return ReoptVcReport(result, branch, tuple(trace))
+    return ReoptVcReport(result, tuple(trace))
 
 
 def _reduce_with_cover(
-    h: Graph, cover: frozenset[int], budget: int, claim: int, branch: str, trace: list[str]
+    h: Graph, cover: frozenset[int], budget: int, claim: int, trace: list[str]
 ) -> ReoptVcReport:
     """Standard crown reduction of an unmodified graph with a known cover."""
     if budget < 0:
-        return ReoptVcReport(KernelResult.decided(False), branch, tuple(trace))
+        return ReoptVcReport(KernelResult.decided(False), tuple(trace))
     if not h.edges:
-        return ReoptVcReport(KernelResult.decided(True), branch, tuple(trace))
+        return ReoptVcReport(KernelResult.decided(True), tuple(trace))
     part = build_reopt_partition(h, frozenset(w for w in cover if h.adjacency[w]))
     crown, head, rest = part.crown_c2()
-    return _finish(
-        h, crown, head, rest, part.saturating(head), budget, claim, branch, trace
-    )
+    return _finish(h, crown, head, rest, part.saturating(head), budget, claim, trace)
 
 
 def reopt_vc_kernelize_2k_report(inst: ReoptInstance) -> ReoptVcReport:
@@ -211,7 +214,7 @@ def reopt_vc_kernelize_2k_report(inst: ReoptInstance) -> ReoptVcReport:
             return _TRIVIAL_YES
         trace.append("trivial")
         modified = apply_modification(g, inst.modification)
-        return _reduce_with_cover(modified, cover, budget, claim, "trivial", trace)
+        return _reduce_with_cover(modified, cover, budget, claim, trace)
 
     # New edge incident to a previously isolated vertex: it is now a leaf;
     # take its support into the cover and reduce the remainder.
@@ -226,16 +229,13 @@ def reopt_vc_kernelize_2k_report(inst: ReoptInstance) -> ReoptVcReport:
         remainder, idx = induced_subgraph(modified, keep)
         back = {old: new for new, old in enumerate(idx)}
         live_cover = frozenset(back[w] for w in cover if w in back)
-        return _reduce_with_cover(
-            remainder, live_cover, budget - 1, claim, "isolated-leaf", trace
-        )
+        return _reduce_with_cover(remainder, live_cover, budget - 1, claim, trace)
 
     # Main branch: the new edge joins two non-isolated vertices of B.
     modified = apply_modification(g, inst.modification)
     live = frozenset(w for w in cover if g.adjacency[w])  # a cover: checked above
     m = maximum_bipartite_matching(g, live, frozenset(g.vertices) - live)
     part = _partition_from_matching(g, live, m)
-    branch = ""
 
     # Three rounds always suffice.  Case 4 exposes x; the other endpoint
     # stays matched, so the next round is case 2, case 3 or
@@ -248,16 +248,13 @@ def reopt_vc_kernelize_2k_report(inst: ReoptInstance) -> ReoptVcReport:
         regions = {ru, rv}
 
         if regions == {"B23"}:
-            branch = branch or "case1"
             trace.append("case1")
             crown, head, rest = part.crown_c2()
             return _finish(
-                modified, crown, head, rest, part.saturating(head),
-                budget, claim, branch, trace,
+                modified, crown, head, rest, part.saturating(head), budget, claim, trace
             )
 
         if regions == {"BU"}:
-            branch = branch or "case2"
             trace.append("case2")
             x, y = min(u, v), max(u, v)
             c1, h1, r1 = part.crown_c1()
@@ -266,18 +263,15 @@ def reopt_vc_kernelize_2k_report(inst: ReoptInstance) -> ReoptVcReport:
             saturating = Matching(
                 part.saturating(h1).pairs | {normalize_edge(x, y)}
             )
-            return _finish(
-                modified, crown, head, r1, saturating, budget, claim, branch, trace
-            )
+            return _finish(modified, crown, head, r1, saturating, budget, claim, trace)
 
         if regions == {"BU", "B23"}:
-            branch = branch or "case3"
             trace.append("case3")
             x = u if ru == "BU" else v
             c2, h2, r2 = part.crown_c2()
             return _finish(
                 modified, c2 - {x}, h2, r2 | {x}, part.saturating(h2),
-                budget, claim, branch, trace,
+                budget, claim, trace,
             )
 
         # Cases 4 and 5: an endpoint in B1 loses its partner by flipping
@@ -285,13 +279,10 @@ def reopt_vc_kernelize_2k_report(inst: ReoptInstance) -> ReoptVcReport:
         x = u if ru == "B1" else v
         forbidden = None
         if regions == {"B1", "B23"}:
-            branch = branch or "case4"
             target, marker = x, "case4"
         elif regions == {"B1"}:
-            branch = branch or "case5"
             target, marker = max(u, v), "case5-rematch-v"
         else:  # regions == {"B1", "BU"}: the escape must avoid the other end
-            branch = branch or "case5"
             forbidden = v if x == u else u
             target, marker = x, "case5-rematch-u"
         rematched = rematch_to_expose(
@@ -313,8 +304,8 @@ def reopt_vc_kernelize_2k_report(inst: ReoptInstance) -> ReoptVcReport:
         # dropping it from side B only drops it from the start frontier.
         trace.append("case5-degenerate")
         y = forbidden
-        _, still_reached = alternating_reachability(
-            g, part.cover, part.independent - {y}, part.matching, "B"
+        _, still_reached, _, _ = alternating_reachability(
+            g, part.cover, part.independent - {y}, part.matching
         )
         b_v = part.b1 - still_reached
         partners = part.matching.partner_map()
@@ -329,7 +320,7 @@ def reopt_vc_kernelize_2k_report(inst: ReoptInstance) -> ReoptVcReport:
         rest = r2 | b_v | a_v | {y}
         return _finish(
             modified, crown, head, rest, part.saturating(head),
-            budget, 2 * inst.k + 1, branch, trace,
+            budget, 2 * inst.k + 1, trace,
         )
 
     raise InternalInvariantBroken("case dispatch did not terminate")
@@ -362,8 +353,3 @@ def _check_partition_bounds(g: Graph, part: ReoptPartition) -> None:
         raise InternalInvariantBroken(
             f"second rest too large: |R2|={len(r2)} > 2k-2={2 * k_bound - 2}"
         )
-
-
-def reopt_vc_kernelize_2k(inst: ReoptInstance) -> KernelResult:
-    """See ``reopt_vc_kernelize_2k_report``; this drops the branch report."""
-    return reopt_vc_kernelize_2k_report(inst).result

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from rekern.graphs import Graph
+from rekern.oracles import _solve_vertex_cover, is_vertex_cover
 
 
 def all_labeled_graphs(n: int):
@@ -14,6 +15,25 @@ def all_labeled_graphs(n: int):
         yield Graph.from_edges(
             n, [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]
         )
+
+
+def all_minimum_vertex_covers(g: Graph) -> list[frozenset[int]]:
+    """Every minimum vertex cover, by exhaustive enumeration (tiny graphs)."""
+    opt = _solve_vertex_cover(g).value
+    assert opt is not None
+    return [
+        frozenset(subset)
+        for subset in combinations(range(g.n), opt)
+        if is_vertex_cover(g, subset)
+    ]
+
+
+def emit_dimacs(g: Graph) -> str:
+    """A graph as the DIMACS-like edge list that ``formats.parse_dimacs``
+    reads: 1-based vertices, edges in ascending order."""
+    lines = [f"p edge {g.n} {len(g.edges)}"]
+    lines.extend(f"e {u + 1} {v + 1}" for u, v in g.sorted_edges())
+    return "\n".join(lines) + "\n"
 
 
 def absent_pairs(g: Graph):

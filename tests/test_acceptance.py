@@ -17,7 +17,6 @@ import pytest
 
 from rekern.crown import crown_or_matching, validate_crown
 from rekern.framework import (
-    ComponentKernelizer,
     Compositionality,
     builtin_spec,
     check_composition,
@@ -45,7 +44,6 @@ from rekern.graphs import (
 )
 from rekern.instances import ReoptInstance
 from rekern.oracles import (
-    all_minimum_vertex_covers,
     is_connected_vertex_cover,
     membership,
     solve_exact,
@@ -155,6 +153,8 @@ def test_criterion_03_reopt_2k_kernel():
     every absent edge, k' = |A|: equivalence, 2k size bound (2k + 1 in the
     degenerate case-5 branch, logged), every intermediate crown validated
     (construction raises otherwise); < 10 min."""
+    from tests.conftest import all_minimum_vertex_covers
+
     failures = 0
     runs = 0
     degenerate: list[tuple[int, int]] = []
@@ -324,9 +324,7 @@ def test_criterion_05_ivst_eplus_theorem():
     def exploding(comp, k):
         raise AssertionError("graph was inspected")
 
-    out = ivst_reopt_kernelize_eplus(
-        inst, ComponentKernelizer("exploding", exploding)
-    )
+    out = ivst_reopt_kernelize_eplus(inst, exploding)
     pure = out.is_decided and out.answer is True
     elapsed = time.time() - start
     report(

@@ -109,10 +109,12 @@ def test_witness_shapes_round_trip(kind):
 
 
 def test_dimacs_round_trip_and_indexing():
+    from tests.conftest import emit_dimacs
+
     text = "p edge 3 2\ne 1 2\ne 2 3\n"
     g = formats.parse_dimacs(text)
     assert g == path_graph(3)
-    assert formats.emit_dimacs(g) == text
+    assert emit_dimacs(g) == text
 
 
 def test_parse_errors_carry_diagnostics():
@@ -483,9 +485,70 @@ def test_cli_size_guard_exit_code(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.slow
+def test_cli_size_guard_on_a_long_path_under_a_memory_cap(tmp_path):
+    """Four commands that reach the exact oracle on a 3 * 10^5-vertex path
+    exit 3 in a subprocess whose address space is capped at 3 GB: no
+    command builds the path's adjacency masks before the size guard."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import rekern
+
+    n = 300_000
+    graph = {"n": n, "edges": [[i, i + 1] for i in range(n - 1)]}
+    header = {"format": "rekern-instance", "version": 1, "graph": graph, "k": 1}
+    docs = {
+        "vertex_cover": {**header, "problem": "vertex_cover"},
+        "ivst": {
+            **header,
+            "problem": "ivst",
+            "modification": {"op": "edge_add", "u": 0, "v": n - 1},
+        },
+    }
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    result = tmp_path / "result.json"
+    result.write_text(formats.emit_result(KernelResult.decided(True)))
+    vc, ivst = str(tmp_path / "vertex_cover.json"), str(tmp_path / "ivst.json")
+    commands = [
+        ["solve", "--problem", "vertex_cover", "--input", vc],
+        ["solve", "--problem", "treewidth", "--input", vc],
+        ["reopt", "kernelize", "--problem", "ivst", "--input", ivst],
+        ["verify", "kernel-equivalence", "--input", vc, "--result", str(result)],
+    ]
+
+    # The child caps its own address space, then runs the command line.
+    capped_cli = (
+        "import resource, runpy; cap = 3 * 1024**3; "
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, cap)); "
+        "runpy.run_module('rekern.cli', run_name='__main__')"
+    )
+    src = str(Path(rekern.__file__).resolve().parents[1])
+    for argv in commands:
+        run = subprocess.run(
+            [sys.executable, "-c", capped_cli, *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=600,
+        )
+        assert (run.returncode, run.stdout) == (3, ""), (argv, run.stderr[-2000:])
+        assert run.stderr.startswith("size guard:"), argv
+
+
 def test_cli_usage_error():
     assert run_command(["kernelize", "vc", "--mode", "bogus"]) == 2
     assert run_command(["nonsense"]) == 2
+
+
+@pytest.mark.parametrize("option, value", [("--count", "-1"), ("--max-n", "0")])
+def test_cli_corpus_rejects_bad_sizes(option, value, capsys):
+    assert run_command(["corpus", "--seed", "1", option, value]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"usage: {option}")
 
 
 def test_cli_deterministic_reports(tmp_path, capsys):

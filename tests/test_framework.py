@@ -4,7 +4,6 @@ import pytest
 
 from rekern.errors import DegreeTooHigh, SpecModificationMismatch
 from rekern.framework import (
-    ComponentKernelizer,
     Compositionality,
     Monotonicity,
     builtin_spec,
@@ -145,8 +144,7 @@ def test_or_comonotone_witness_present_is_pure():
     def exploding(comp, k):
         raise AssertionError("component kernelizer must not run on the yes branch")
 
-    ck = ComponentKernelizer("exploding", exploding)
-    out = compositional_reopt_kernelize(inst, spec, ck)
+    out = compositional_reopt_kernelize(inst, spec, exploding)
     assert out.is_decided and out.answer is True
 
 
@@ -214,8 +212,7 @@ def test_witness_shortcut_only_where_sound(kind, g, k, k_modified, witness, modi
 def test_witness_avoiding_the_deletion_short_circuits(modification):
     g = disjoint_union(path_graph(3), path_graph(2))
     inst = ReoptInstance(PK.LONGEST_PATH, g, 2, (0, 1, 2), modification, 2)
-    ck = ComponentKernelizer("exploding", _exploding)
-    out = compositional_reopt_kernelize(inst, builtin_spec(PK.LONGEST_PATH), ck)
+    out = compositional_reopt_kernelize(inst, builtin_spec(PK.LONGEST_PATH), _exploding)
     assert out.is_decided and out.answer is True
 
 
@@ -287,7 +284,7 @@ def _dispatch_sweep(max_n: int) -> int:
     oracle's witness exactly when the original is a yes at k; returns the
     number of dispatches, each checked against the oracle."""
     from rekern.framework import _SUPPORTED
-    from rekern.problems import Direction
+    from rekern.problems import PROBLEMS, Direction
     from rekern.smallgraphs import all_graphs_upto
 
     dispatches = 0
@@ -300,7 +297,7 @@ def _dispatch_sweep(max_n: int) -> int:
                 witness = solution.witness if membership(kind, g, k) else None
                 for m in _sweep_modifications(g, allowed):
                     n_modified = g.n + (1 if isinstance(m, VertexAdd) else 0)
-                    if spec.direction is Direction.MIN:
+                    if PROBLEMS[kind].direction is Direction.MIN:
                         allowed_k = range(k + 1)
                     else:
                         allowed_k = range(k, n_modified + 2)
@@ -336,9 +333,9 @@ def test_dispatch_on_a_deletion_that_leaves_no_vertex():
 
 
 def test_union_of_reduced_component_kernels():
-    identity = ComponentKernelizer(
-        "identity", lambda comp, k: KernelResult.reduced(comp, k)
-    )
+    def identity(comp, k):
+        return KernelResult.reduced(comp, k)
+
     g = disjoint_union(path_graph(3), path_graph(4))
     inst = ReoptInstance(PK.LONGEST_PATH, g, 9, None, EdgeDel(1, 2), 9)
     out = compositional_reopt_kernelize(
@@ -361,9 +358,7 @@ def test_ivst_eplus_witness_yes_without_graph_access():
     def exploding(comp, k):
         raise AssertionError("must not inspect components on the yes branch")
 
-    out = ivst_reopt_kernelize_eplus(
-        inst, ComponentKernelizer("exploding", exploding)
-    )
+    out = ivst_reopt_kernelize_eplus(inst, exploding)
     assert out.is_decided and out.answer is True
 
 
@@ -420,7 +415,6 @@ def test_builtin_spec_table():
     """Each built-in spec is one shared object built from its problem's
     row; a row that declares no compositionality has no spec."""
     from rekern.errors import UnsupportedCombination
-    from rekern.oracles import solve_exact, verify_solution
     from rekern.problems import PROBLEMS
 
     assert builtin_spec(PK.IVST).monotonicity is Monotonicity.COMONOTONE
@@ -436,15 +430,10 @@ def test_builtin_spec_table():
                 builtin_spec(kind)
             continue
         spec = builtin_spec(kind)
-        assert spec is builtin_spec(kind) and spec.kind is kind
-        assert spec.name == kind.value and spec.direction is row.direction
+        assert spec is builtin_spec(kind) and spec.name == kind.value
         declared[kind] = (spec.monotonicity, spec.compositionality)
-        solution = solve_exact(kind, g)
         for k in range(4):
             assert spec.oracle(g, k) == membership(kind, g, k)
-            assert spec.verifier(g, k, solution.witness) == verify_solution(
-                kind, g, solution.witness, k
-            )
     assert declared == {
         PK.IVST: (Monotonicity.COMONOTONE, Compositionality.OR),
         PK.CLIQUE: (Monotonicity.COMONOTONE, Compositionality.OR),
@@ -457,24 +446,20 @@ def test_and_comonotone_deletion_rule():
     """The fourth dispatch rule, driven by a custom spec: every component
     has minimum degree >= k (AND-compositional, closed under additions)."""
     from rekern.framework import ProblemSpec
-    from rekern.problems import Direction
 
     def min_degree_at_least(g: Graph, k: int) -> bool:
         return all(g.degree(v) >= k for v in g.vertices)
 
     spec = ProblemSpec(
         name="min-degree",
-        kind=PK.VERTEX_COVER,  # placeholder tag; oracle below is what runs
-        direction=Direction.MAX,
         monotonicity=Monotonicity.COMONOTONE,
         compositionality=Compositionality.AND,
-        verifier=lambda g, k, cand: min_degree_at_least(g, k),
         oracle=min_degree_at_least,
     )
-    ck = ComponentKernelizer(
-        "min-degree-exact",
-        lambda comp, k: KernelResult.decided(min_degree_at_least(comp, k)),
-    )
+
+    def ck(comp, k):
+        return KernelResult.decided(min_degree_at_least(comp, k))
+
     # no witness: deleting an edge cannot create membership
     g = disjoint_union(cycle_graph(3), path_graph(3))
     inst = ReoptInstance(PK.VERTEX_COVER, g, 2, None, EdgeDel(0, 1), 2)
@@ -495,7 +480,8 @@ def test_and_comonotone_deletion_rule():
 
 def test_spec_verifier_and_oracle_agree():
     """Whenever the spec's oracle says yes, the solver's witness passes the
-    spec's verifier at that parameter."""
+    problem's verifier at that parameter."""
+    from rekern.oracles import verify_solution
     from rekern.smallgraphs import all_graphs_upto
 
     for g in all_graphs_upto(5):
@@ -504,4 +490,4 @@ def test_spec_verifier_and_oracle_agree():
             solution = solve_exact(kind, g)
             for k in range(0, g.n + 2):
                 if spec.oracle(g, k):
-                    assert spec.verifier(g, k, solution.witness), (kind, g, k)
+                    assert verify_solution(kind, g, solution.witness, k), (kind, g, k)

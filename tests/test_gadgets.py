@@ -231,11 +231,11 @@ def test_gadget_structure_invariants():
     for rv in gadget.row_vertices:
         assert g.has_edge(rv, gadget.y)
     # labels cover the roles
-    assert g.label_of(gadget.x) == "x"
-    assert g.label_of(gadget.grid[0][0]) == "u_{1,0}"
-    assert g.label_of(gadget.leaves[0][0]) == "u'_{1,0}"
-    assert g.label_of(gadget.family_vertices[0]) == "f_1"
-    assert g.label_of(gadget.row_vertices[0]) == "v_1"
+    assert g.labels[gadget.x] == "x"
+    assert g.labels[gadget.grid[0][0]] == "u_{1,0}"
+    assert g.labels[gadget.leaves[0][0]] == "u'_{1,0}"
+    assert g.labels[gadget.family_vertices[0]] == "f_1"
+    assert g.labels[gadget.row_vertices[0]] == "v_1"
 
 
 def test_gadget_s1_is_connected_cover():

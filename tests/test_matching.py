@@ -104,21 +104,18 @@ def test_matching_determinism(rng):
 def test_alternating_reachability_examples():
     g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     m = Matching.of([(0, 1)])
-    ra, rb = alternating_reachability(g, {0}, {1, 2, 3}, m, "B")
+    ra, rb, _, _ = alternating_reachability(g, {0}, {1, 2, 3}, m)
     assert ra == {0} and rb == {1}
 
     # perfect matching, nothing unmatched
     g = Graph.from_edges(4, [(0, 2), (1, 3)])
     m = Matching.of([(0, 2), (1, 3)])
-    assert alternating_reachability(g, {0, 1}, {2, 3}, m, "B") == (
-        frozenset(),
-        frozenset(),
-    )
+    assert alternating_reachability(g, {0, 1}, {2, 3}, m) == (frozenset(),) * 4
 
     # extra edge pulls in exactly one pair
     g = Graph.from_edges(5, [(0, 2), (1, 3), (0, 4)])
     m = Matching.of([(0, 2), (1, 3)])
-    ra, rb = alternating_reachability(g, {0, 1}, {2, 3, 4}, m, "B")
+    ra, rb, _, _ = alternating_reachability(g, {0, 1}, {2, 3, 4}, m)
     assert ra == {0} and rb == {2}
 
 
@@ -127,8 +124,7 @@ def test_alternating_reachability_disjoint_for_maximum(rng):
 
     def check(g, side_a, side_b):
         m = maximum_bipartite_matching(g, side_a, side_b)
-        a1, b1 = alternating_reachability(g, side_a, side_b, m, "B")
-        a2, b2 = alternating_reachability(g, side_a, side_b, m, "A")
+        a1, b1, a2, b2 = alternating_reachability(g, side_a, side_b, m)
         assert not (a1 & a2) and not (b1 & b2)
         assert a1 <= m.vertices() and b2 <= m.vertices()
 
@@ -220,7 +216,7 @@ def test_reachability_without_an_unmatched_blocker():
     """Dropping an unmatched B vertex from side B reaches what the same
     search reaches on the graph with that vertex deleted."""
     from rekern.graphs import induced_subgraph
-    from rekern.oracles import all_minimum_vertex_covers
+    from tests.conftest import all_minimum_vertex_covers
     from rekern.smallgraphs import all_graphs_upto
 
     checked = 0
@@ -229,9 +225,7 @@ def test_reachability_without_an_unmatched_blocker():
             side_b = frozenset(g.vertices) - side_a
             m = maximum_bipartite_matching(g, side_a, side_b)
             for y in sorted(side_b - m.vertices()):
-                dropped = alternating_reachability(
-                    g, side_a, side_b - {y}, m, "B"
-                )
+                dropped = alternating_reachability(g, side_a, side_b - {y}, m)
                 sub, idx = induced_subgraph(g, [w for w in g.vertices if w != y])
                 back = {old: new for new, old in enumerate(idx)}
                 on_sub = alternating_reachability(
@@ -239,7 +233,6 @@ def test_reachability_without_an_unmatched_blocker():
                     {back[a] for a in side_a},
                     {back[b] for b in side_b - {y}},
                     Matching.of((back[u], back[v]) for u, v in m.pairs),
-                    "B",
                 )
                 assert dropped == tuple(
                     frozenset(idx[w] for w in reached) for reached in on_sub
@@ -253,7 +246,7 @@ def test_out_of_range_side_vertices_rejected():
     m = Matching.of([(0, 1)])
     calls = [
         lambda a, b: maximum_bipartite_matching(g, a, b),
-        lambda a, b: alternating_reachability(g, a, b, m, "B"),
+        lambda a, b: alternating_reachability(g, a, b, m),
         lambda a, b: rematch_to_expose(g, a, b, m, 1),
     ]
     for bad in (g.n, -1):
@@ -299,7 +292,7 @@ def test_matching_size_equals_networkx_hopcroft_karp(rng):
 def test_crowns_do_not_depend_on_which_maximum_matching():
     """The alternating-reachable sets are the same for every maximum
     matching (Dulmage-Mendelsohn), so both canonical crowns are too."""
-    from rekern.oracles import all_minimum_vertex_covers
+    from tests.conftest import all_minimum_vertex_covers
     from rekern.smallgraphs import all_graphs_upto
     from rekern.vc_kernels import _partition_from_matching
 

@@ -499,6 +499,27 @@ def test_size_guards():
         solve_exact(PK.TREEWIDTH, complete_graph(11))
 
 
+@pytest.mark.parametrize("kind", [PK.VERTEX_COVER, PK.TREEWIDTH], ids=lambda k: k.value)
+def test_guards_run_before_any_adjacency_mask(kind, monkeypatch):
+    """Every component is guarded by its size before any is solved, so a
+    long path is refused without its masks, which take about n^2 / 16
+    bytes, and a small component ahead of a large one is not solved."""
+    built = []
+    real = oracles.adjacency_masks
+
+    def counting(g):
+        built.append(g.n)
+        return real(g)
+
+    monkeypatch.setattr(oracles, "adjacency_masks", counting)
+    oracles._solve_component.cache_clear()
+    n = 100_000
+    for g in (path_graph(n), disjoint_union(path_graph(3), path_graph(n))):
+        with pytest.raises(SizeGuardExceeded):
+            solve_exact(kind, g)
+    assert built == []
+
+
 # The five component kinds, each with its raw (uncached) solver.
 RAW_SOLVERS = [
     pytest.param(kind, raw, id=kind.value)

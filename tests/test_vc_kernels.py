@@ -19,7 +19,6 @@ from rekern.graphs import (
 from rekern.instances import KernelResult, ReoptInstance
 from rekern.matching import Matching
 from rekern.oracles import (
-    all_minimum_vertex_covers,
     membership,
     solve_exact,
     verify_kernel_equivalence,
@@ -28,7 +27,6 @@ from rekern.problems import ProblemKind as PK
 from rekern.vc_kernels import (
     build_reopt_partition,
     crown_reduce_vc,
-    reopt_vc_kernelize_2k,
     reopt_vc_kernelize_2k_report,
     vc_kernelize_3k,
 )
@@ -259,22 +257,22 @@ def test_reopt_isolated_leaf_branch():
 def test_reopt_rejects_bad_witness_and_modification():
     g = path_graph(4)
     with pytest.raises(WitnessNotACover):
-        reopt_vc_kernelize_2k(vc_instance(g, 1, frozenset({0}), 0, 2))
+        reopt_vc_kernelize_2k_report(vc_instance(g, 1, frozenset({0}), 0, 2))
     with pytest.raises(WitnessNotACover):
-        reopt_vc_kernelize_2k(vc_instance(g, 2, None, 0, 2))
+        reopt_vc_kernelize_2k_report(vc_instance(g, 2, None, 0, 2))
     with pytest.raises(WitnessNotACover):
-        reopt_vc_kernelize_2k(vc_instance(g, 1, frozenset({1, 2}), 0, 2))
+        reopt_vc_kernelize_2k_report(vc_instance(g, 1, frozenset({1, 2}), 0, 2))
     inst = ReoptInstance(
         PK.VERTEX_COVER, g, 2, frozenset({1, 2}), EdgeDel(0, 1), 2
     )
     with pytest.raises(ModificationMismatch):
-        reopt_vc_kernelize_2k(inst)
+        reopt_vc_kernelize_2k_report(inst)
 
 
 def test_reopt_exhaustive_small(rng):
     """All graphs on up to 5 labeled vertices, all minimum covers, all
     absent edges: equivalence, size bounds, branch sanity."""
-    from tests.conftest import absent_pairs, all_labeled_graphs
+    from tests.conftest import absent_pairs, all_labeled_graphs, all_minimum_vertex_covers
 
     seen_branches = set()
     for n in range(2, 5):
@@ -304,7 +302,7 @@ def test_reopt_builds_an_adjacency_only_where_it_is_read():
     branch builds the input's, and no kernel holds one: neither the 2k
     kernel's residual, with or without a crown removed, nor the 3k kernel
     of a modified graph derived from an input that holds one."""
-    from tests.conftest import absent_pairs, all_labeled_graphs
+    from tests.conftest import absent_pairs, all_labeled_graphs, all_minimum_vertex_covers
 
     seen = set()
     for n in range(2, 5):
@@ -409,7 +407,8 @@ def test_reopt_isolated_vertices_only_relabel_the_kernel(rng):
 def test_reopt_determinism():
     g = Graph.from_edges(5, [(0, 2), (0, 3), (1, 4)])
     inst = vc_instance(g, 2, frozenset({0, 1}), 3, 4)
-    assert reopt_vc_kernelize_2k(inst) == reopt_vc_kernelize_2k(inst)
+    first = reopt_vc_kernelize_2k_report(inst).result
+    assert first == reopt_vc_kernelize_2k_report(inst).result
 
 
 # --- at scale -------------------------------------------------------------------
