@@ -207,7 +207,13 @@ def _cmd_gadget(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_limit(args: argparse.Namespace) -> None:
+    if args.limit is not None and args.limit < 0:
+        raise ParseError("--limit must not be negative")
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
+    _check_limit(args)
     kind = formats.problem_kind(args.problem)
     doc = _load_instance(args.input)
     instance: Any = _instance_payload(doc, kind)
@@ -225,6 +231,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    _check_limit(args)
     doc = _load_instance(args.input)
     if args.what == "crown":
         if doc.graph is None:

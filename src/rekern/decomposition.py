@@ -1,10 +1,18 @@
-"""Tree decompositions and their validator."""
+"""Tree decompositions, their validator, and the rule that extends one
+to a graph with an added edge or vertex."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, adjacency_masks, mask_reach
+from .graphs import (
+    EdgeAdd,
+    Graph,
+    LocalModification,
+    VertexAdd,
+    adjacency_masks,
+    mask_reach,
+)
 
 
 @dataclass(frozen=True)
@@ -57,3 +65,48 @@ def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> list[str]:
         if bags and mask_reach(tree, bags & -bags, bags) != bags:
             violations.append(f"bags containing vertex {v} do not form a subtree")
     return violations
+
+
+def extends_to(td: TreeDecomposition, m: LocalModification, k: int) -> bool:
+    """Whether ``td``, a tree decomposition of some graph G, extends to a
+    decomposition of width at most ``k`` of G after the addition ``m``, by
+    one of the rules below; ``False`` for a deletion, for a witness wider
+    than ``k``, and whenever no rule applies.  Nothing is built.
+
+    For an edge uv, the bag tree is walked breadth-first from the bags
+    holding u to the nearest bag holding v.  Adding u to every bag on that
+    path after the first keeps u's bags a subtree and puts u beside v, so
+    the answer is yes when each of those bags holds at most k vertices.  A
+    bag holding both ends gives a path of one bag, and width + 1 <= k lets
+    every path through.  For a new vertex w with neighbours N, a leaf bag
+    N + {w} hung from a bag holding N works when |N| <= k, and w joins
+    every bag when the width is below k.  The width + 1 cases are the bound
+    tw(G + uv) <= tw(G) + 1 of Bodlaender, "A partial k-arboretum of graphs
+    with bounded treewidth" (TCS 1998).
+    """
+    if td.width > k:
+        return False
+    if isinstance(m, VertexAdd):
+        return td.width < k or (
+            len(m.neighbors) <= k and any(m.neighbors <= bag for bag in td.bags)
+        )
+    if not isinstance(m, EdgeAdd):
+        return False
+    bags, tree = td.bags, td.tree.adjacency
+    came_from = {i: i for i, bag in enumerate(bags) if m.u in bag}
+    frontier = list(came_from)
+    while frontier:
+        reached = []
+        for i in frontier:
+            if m.v in bags[i]:
+                while came_from[i] != i:
+                    if len(bags[i]) > k:
+                        return False
+                    i = came_from[i]
+                return True
+            for j in tree[i]:
+                if j not in came_from:
+                    came_from[j] = i
+                    reached.append(j)
+        frontier = reached
+    return False

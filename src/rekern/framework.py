@@ -6,7 +6,9 @@ When a local modification respects the problem's closure direction
 (monotone problems tolerate deletions, comonotone ones additions), the
 given witness either survives outright or the question localizes to the
 components touched by the modification, where a pluggable component
-kernelizer takes over.
+kernelizer takes over.  Under the AND rule a witness tree decomposition
+is read first: when it extends to the modified graph within the width
+bound, the answer is yes before any environment is built.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable
 
+from .decomposition import TreeDecomposition, extends_to
 from .errors import DegreeTooHigh, SpecModificationMismatch, UnsupportedCombination
 from .graphs import (
     EdgeAdd,
@@ -143,8 +146,10 @@ def compositional_reopt_kernelize(
 ) -> KernelResult:
     """Dispatch a reoptimization instance per the four compositional rules.
 
-    At k' = k the witness branch applies the closure theorem without
-    inspecting the graph; otherwise the component kernelizer runs on the
+    At k' = k the OR witness branch applies the closure theorem without
+    inspecting the graph, and the AND witness branch answers yes when the
+    witness is a ``TreeDecomposition`` that ``extends_to`` the modified
+    graph at width k; otherwise the component kernelizer runs on the
     environment of the modification, or on every component of the modified
     graph when the witness settles nothing (k' != k, or a deletion that
     touches it).
@@ -182,7 +187,10 @@ def compositional_reopt_kernelize(
         if not modified.n:  # no component to combine: ask about the empty graph
             return KernelResult.decided(spec.oracle(modified, inst.k_modified))
         parts = [induced_subgraph(modified, c) for c in components(modified)]
-    elif or_mode:
+    elif or_mode or (
+        isinstance(inst.witness, TreeDecomposition)
+        and extends_to(inst.witness, inst.modification, inst.k)
+    ):
         return KernelResult.decided(True)
     if parts is None:
         parts = environment(inst.original, inst.modification)

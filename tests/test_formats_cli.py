@@ -551,6 +551,19 @@ def test_cli_corpus_rejects_bad_sizes(option, value, capsys):
     assert out == "" and err.startswith(f"usage: {option}")
 
 
+@pytest.mark.parametrize(
+    "command", [["solve", "--problem", "vertex_cover"], ["verify", "solution"]]
+)
+def test_cli_rejects_a_negative_limit(command, tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    graph = Graph.from_edges(0)
+    doc = formats.InstanceDocument(problem=PK.VERTEX_COVER, graph=graph, k=0)
+    path.write_text(formats.emit_instance(doc))
+    assert run_command([*command, "--limit", "-1", "--input", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: --limit")
+
+
 def test_cli_deterministic_reports(tmp_path, capsys):
     doc = formats.InstanceDocument(problem=PK.VERTEX_COVER, graph=path_graph(5), k=2)
     path = tmp_path / "inst.json"

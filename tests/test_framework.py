@@ -2,6 +2,11 @@ from itertools import combinations
 
 import pytest
 
+from rekern.decomposition import (
+    TreeDecomposition,
+    extends_to,
+    validate_tree_decomposition,
+)
 from rekern.errors import DegreeTooHigh, SpecModificationMismatch
 from rekern.framework import (
     Compositionality,
@@ -214,6 +219,113 @@ def test_witness_avoiding_the_deletion_short_circuits(modification):
     inst = ReoptInstance(PK.LONGEST_PATH, g, 2, (0, 1, 2), modification, 2)
     out = compositional_reopt_kernelize(inst, builtin_spec(PK.LONGEST_PATH), _exploding)
     assert out.is_decided and out.answer is True
+
+
+def _td(tree_edges, *bags):
+    return TreeDecomposition(
+        Graph.from_edges(len(bags), tree_edges), tuple(map(frozenset, bags))
+    )
+
+
+# Triangle 0-1-2 with the tail 2-3-4, in bags {0,1,2} - {2,3} - {3,4}.
+_TAILED_TRIANGLE = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
+_TAILED_TRIANGLE_TD = _td([(0, 1), (1, 2)], {0, 1, 2}, {2, 3}, {3, 4})
+
+
+@pytest.mark.parametrize(
+    "g, witness, k, modification",
+    [
+        # the new edge's ends share a bag, at width = k
+        (Graph.from_edges(3, [(0, 1)]), _td([], {0, 1, 2}), 2, EdgeAdd(0, 2)),
+        # the bags from 0's bag to 4's hold at most k = width vertices each
+        (_TAILED_TRIANGLE, _TAILED_TRIANGLE_TD, 2, EdgeAdd(0, 4)),
+        # width + 1 <= k: an edge, and a vertex beside every old one
+        (path_graph(4), "from-oracle", 2, EdgeAdd(0, 3)),
+        (path_graph(3), "from-oracle", 2, VertexAdd(frozenset({0, 1, 2}))),
+        # the new vertex's neighbours lie in one bag, at width = k
+        (_TAILED_TRIANGLE, _TAILED_TRIANGLE_TD, 2, VertexAdd(frozenset({0, 1}))),
+    ],
+)
+def test_witness_decomposition_that_extends_decides_yes(g, witness, k, modification):
+    if witness == "from-oracle":
+        witness = solve_exact(PK.TREEWIDTH, g).witness
+    assert not validate_tree_decomposition(g, witness) and witness.width <= k
+    inst = ReoptInstance(PK.TREEWIDTH, g, k, witness, modification, k)
+    out = compositional_reopt_kernelize(inst, builtin_spec(PK.TREEWIDTH), _exploding)
+    assert out.is_decided and out.answer is True
+    assert membership(PK.TREEWIDTH, inst.modified, k)
+
+
+def test_witness_decomposition_wider_than_k_reaches_the_kernelizer():
+    # P3 has treewidth 1, but the witness puts it in one bag of width 2.
+    g, witness = path_graph(3), _td([], {0, 1, 2})
+    seen = []
+
+    def ck(comp, k):
+        seen.append(comp.n)
+        return exact_ck(PK.TREEWIDTH)(comp, k)
+
+    for modification in (EdgeAdd(0, 2), VertexAdd(frozenset())):
+        seen.clear()
+        inst = ReoptInstance(PK.TREEWIDTH, g, 1, witness, modification, 1)
+        out = compositional_reopt_kernelize(inst, builtin_spec(PK.TREEWIDTH), ck)
+        assert seen and out.is_decided
+        assert out.answer == membership(PK.TREEWIDTH, inst.modified, 1)
+
+
+def _shortest_bag_path(td: TreeDecomposition, u: int, v: int) -> list[int]:
+    """The fewest bags on a tree path from a bag holding u to one holding v."""
+    import networkx as nx
+
+    tree = nx.Graph(list(td.tree.edges))
+    tree.add_nodes_from(range(td.tree.n))
+    ends_u = [i for i, bag in enumerate(td.bags) if u in bag]
+    ends_v = [i for i, bag in enumerate(td.bags) if v in bag]
+    return min(
+        (nx.shortest_path(tree, a, b) for a in ends_u for b in ends_v), key=len
+    )
+
+
+def test_extension_rule_yes_has_a_valid_decomposition():
+    """Wherever ``extends_to`` says yes, the decomposition its rule names
+    is built here and passes the validator at width <= k: every atlas graph
+    up to 6 vertices with the oracle's decomposition, every absent edge,
+    criterion 4's vertex additions plus the empty neighbourhood, at k equal
+    to the width and one above it."""
+    from rekern.smallgraphs import all_graphs_upto
+    from tests.conftest import absent_pairs
+
+    extended = {"edge": 0, "every bag": 0, "leaf bag": 0}
+    for g in all_graphs_upto(6):
+        td = solve_exact(PK.TREEWIDTH, g).witness
+        additions = [EdgeAdd(u, v) for u, v in absent_pairs(g)]
+        additions += [
+            VertexAdd(frozenset(s)) for s in (range(g.n), {0}, ())
+        ]
+        for k in (td.width, td.width + 1):
+            for m in additions:
+                if not extends_to(td, m, k):
+                    continue
+                bags = list(td.bags)
+                tree_edges = list(td.tree.edges)
+                if isinstance(m, EdgeAdd):
+                    for i in _shortest_bag_path(td, m.u, m.v):
+                        bags[i] |= {m.u}
+                    rule = "edge"
+                elif td.width < k:
+                    bags = [bag | {g.n} for bag in bags]
+                    rule = "every bag"
+                else:
+                    host = next(i for i, bag in enumerate(bags) if m.neighbors <= bag)
+                    tree_edges.append((host, len(bags)))
+                    bags.append(m.neighbors | {g.n})
+                    rule = "leaf bag"
+                out = _td(tree_edges, *bags)
+                after = apply_modification(g, m)
+                assert not validate_tree_decomposition(after, out), (g, m, k)
+                assert out.width <= k, (g, m, k)
+                extended[rule] += 1
+    assert all(extended.values()), extended
 
 
 def test_dispatch_rejects_wrong_modification():
