@@ -36,7 +36,7 @@ from .graphs import EdgeAdd, apply_modification
 from .instances import ReoptInstance
 from .matching import Matching
 from .oracles import (
-    membership,
+    meets,
     solve_exact,
     verify_kernel_equivalence,
     verify_solution,
@@ -225,7 +225,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     }
     if doc.k is not None:
         payload["k"] = doc.k
-        payload["member"] = membership(kind, instance, doc.k, limit=args.limit)
+        payload["member"] = meets(kind, solution, doc.k)
     _print_json(payload)
     return 0
 

@@ -74,15 +74,18 @@ def extends_to(td: TreeDecomposition, m: LocalModification, k: int) -> bool:
     than ``k``, and whenever no rule applies.  Nothing is built.
 
     For an edge uv, the bag tree is walked breadth-first from the bags
-    holding u to the nearest bag holding v.  Adding u to every bag on that
-    path after the first keeps u's bags a subtree and puts u beside v, so
-    the answer is yes when each of those bags holds at most k vertices.  A
-    bag holding both ends gives a path of one bag, and width + 1 <= k lets
-    every path through.  For a new vertex w with neighbours N, a leaf bag
-    N + {w} hung from a bag holding N works when |N| <= k, and w joins
-    every bag when the width is below k.  The width + 1 cases are the bound
-    tw(G + uv) <= tw(G) + 1 of Bodlaender, "A partial k-arboretum of graphs
-    with bounded treewidth" (TCS 1998).
+    holding u to the nearest bag holding v; that path is the only one
+    between the two ends' subtrees.  Adding u to every bag on it after the
+    first keeps u's bags a subtree and puts u beside v, and so does adding
+    v to every bag before the last.  So the answer is yes when every inner
+    bag holds at most k vertices and so does v's end bag (u joins) or u's
+    end bag (v joins); ``EdgeAdd(u, v)`` and ``EdgeAdd(v, u)`` get the same
+    answer.  A bag holding both ends gives a path of one bag, and
+    width + 1 <= k lets every path through.  For a new vertex w with
+    neighbours N, a leaf bag N + {w} hung from a bag holding N works when
+    |N| <= k, and w joins every bag when the width is below k.  The
+    width + 1 cases are the bound tw(G + uv) <= tw(G) + 1 of Bodlaender, "A
+    partial k-arboretum of graphs with bounded treewidth" (TCS 1998).
     """
     if td.width > k:
         return False
@@ -99,11 +102,14 @@ def extends_to(td: TreeDecomposition, m: LocalModification, k: int) -> bool:
         reached = []
         for i in frontier:
             if m.v in bags[i]:
+                if came_from[i] == i:
+                    return True
+                v_end, i = len(bags[i]), came_from[i]
                 while came_from[i] != i:
                     if len(bags[i]) > k:
                         return False
                     i = came_from[i]
-                return True
+                return min(v_end, len(bags[i])) <= k
             for j in tree[i]:
                 if j not in came_from:
                     came_from[j] = i

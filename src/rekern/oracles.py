@@ -36,10 +36,14 @@ compositional dispatch ask about the same small graphs again and again.
 The loop splits the graph by union-find, which builds nothing, and
 guards every component by its size before any is copied or solved, so
 no adjacency of an over-large input is ever built and a cached answer
-never bypasses a guard.  A graph with at most one component is solved
-in place.  Each kind's solver, verifier and component combine rule sit
-in one table (``_ORACLES``); its size guard, witness shape and direction
-come from its row in ``rekern.problems``.
+never bypasses a guard.  A membership question passes its k as a budget:
+longest path, IVST and clique then answer "none within it" when the
+largest component's vertex count caps every solution below k (n - 1
+edges, n - 2 internal vertices, n vertices), with no copy, cache lookup
+or solve.  A graph with at most one component is solved in place.  Each
+kind's solver, verifier, component combine rule and ceiling sit in one
+table (``_ORACLES``); its size guard, witness shape and direction come
+from its row in ``rekern.problems``.
 """
 
 from __future__ import annotations
@@ -816,11 +820,14 @@ _MAP_WITNESS = {
 
 # With ``combine``, ``solve`` takes one connected component and ``combine``
 # folds the components' solutions; without it, ``solve`` takes the whole
-# instance, the size limit and the connected cover budget.
+# instance, the size limit and the budget.  ``ceiling`` maps a component's
+# vertex count to the most any solution on it can reach, for a maximization
+# kind whose bound needs no solve.
 class _Oracle(NamedTuple):
     solve: Callable[..., ExactSolution]
     verify: Callable[[Any, Any, int], bool]
     combine: Callable[[list[ExactSolution]], ExactSolution] | None = None
+    ceiling: Callable[[int], int] | None = None
 
 
 _ORACLES = {
@@ -833,16 +840,22 @@ _ORACLES = {
         _solve_cvc,
         lambda g, c, k: len(set(c)) <= k and is_connected_vertex_cover(g, c),
     ),
-    ProblemKind.IVST: _Oracle(_solve_ivst, is_subtree_with_internal, _best_part),
+    # A tree with two or more vertices has two leaves.
+    ProblemKind.IVST: _Oracle(
+        _solve_ivst, is_subtree_with_internal, _best_part, lambda n: max(n - 2, 0)
+    ),
+    # A path on n vertices has n - 1 edges; the empty graph has value 0.
     ProblemKind.LONGEST_PATH: _Oracle(
         _solve_longest_path,
         lambda g, c, k: len(list(c)) >= k + 1 and is_path(g, c),
         _best_part,
+        lambda n: max(n - 1, 0),
     ),
     ProblemKind.CLIQUE: _Oracle(
         _solve_clique,
         lambda g, c, k: len(set(c)) >= k and is_clique(g, c),
         _best_part,
+        lambda n: n,
     ),
     ProblemKind.SET_COVER: _Oracle(
         _solve_set_cover,
@@ -878,25 +891,32 @@ def solve_exact(
     instance: Graph | Digraph | SetCoverInstance,
     *,
     limit: int | None = None,
-    cvc_budget: int | None = None,
+    budget: int | None = None,
 ) -> ExactSolution:
     """Exact optimum and a witness for any supported problem.
 
-    For connected vertex cover, ``cvc_budget`` bounds the search; a value
-    of ``None`` in the result means no connected cover within the budget
-    (or none at all when edges span several components).  Other problems
-    ignore it.
+    ``budget`` is the k of a membership question.  A value of ``None`` in
+    the result means no solution within it: for connected vertex cover the
+    budget bounds the search (and ``None`` also means no connected cover
+    at all when edges span several components); for longest path, IVST and
+    clique it means the largest component's size ceiling is below the
+    budget, decided after the size guard and before any copy, cache lookup
+    or solve.  Other problems ignore it, and without a budget every kind
+    returns its optimum.
     """
     payload = _PAYLOAD_TYPES[PROBLEMS[kind].payload]
     if not isinstance(instance, payload):
         raise UnsupportedProblem(f"{kind.value} expects a {payload.__name__}")
-    solve, _, combine = _ORACLES[kind]
+    solve, _, combine, ceiling = _ORACLES[kind]
     if combine is None:
-        return solve(instance, limit, cvc_budget)
+        return solve(instance, limit, budget)
     g = instance
     comps = components(g)
+    largest = max(map(len, comps), default=0)
     # Guarding the largest part guards them all, before any is copied or solved.
-    _guard(kind, max(map(len, comps), default=0), limit)
+    _guard(kind, largest, limit)
+    if budget is not None and ceiling is not None and ceiling(largest) < budget:
+        return ExactSolution(None, None)
     if len(comps) <= 1:  # its own labels, so no copy to map back
         return _solve_component(kind, g.n, g.edges)
     map_witness = _MAP_WITNESS[PROBLEMS[kind].witness]
@@ -908,6 +928,17 @@ def solve_exact(
     return combine(parts)
 
 
+def meets(kind: ProblemKind, solution: ExactSolution, k: int) -> bool:
+    """Whether ``solution``, from ``solve_exact`` with or without budget k,
+    shows that k is met: no more than k for a minimization kind, at least k
+    for a maximization kind, and never when its value is ``None``."""
+    if solution.value is None:
+        return False
+    if PROBLEMS[kind].direction is Direction.MIN:
+        return solution.value <= k
+    return solution.value >= k
+
+
 def membership(
     kind: ProblemKind,
     instance: Graph | Digraph | SetCoverInstance,
@@ -915,13 +946,13 @@ def membership(
     *,
     limit: int | None = None,
 ) -> bool:
-    """Whether (instance, k) is a member of the parameterized problem."""
-    solution = solve_exact(kind, instance, limit=limit, cvc_budget=k)
-    if solution.value is None:
-        return False
-    if PROBLEMS[kind].direction is Direction.MIN:
-        return solution.value <= k
-    return solution.value >= k
+    """Whether (instance, k) is a member of the parameterized problem.
+
+    Asks ``solve_exact`` with k as its budget, so connected vertex cover
+    stops at its first cover within k, and a maximization kind whose
+    largest component's ceiling is below k answers no without a solve.
+    """
+    return meets(kind, solve_exact(kind, instance, limit=limit, budget=k), k)
 
 
 def verify_solution(

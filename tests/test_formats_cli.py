@@ -17,7 +17,7 @@ from rekern.graphs import (
     path_graph,
 )
 from rekern.instances import KernelResult
-from rekern.oracles import solve_exact, verify_solution
+from rekern.oracles import membership, solve_exact, verify_solution
 from rekern.problems import ProblemKind as PK
 from rekern.setcover import SetCoverInstance
 
@@ -106,6 +106,35 @@ def test_witness_shapes_round_trip(kind):
     assert back.witness == solution.witness
     assert type(back.witness) is type(solution.witness)
     assert verify_solution(kind, payload, back.witness, solution.value)
+
+
+@pytest.mark.parametrize("kind", list(PK), ids=lambda kind: kind.value)
+def test_cli_solve_with_k_runs_the_oracle_once(kind, tmp_path, capsys, monkeypatch):
+    """``solve`` reads ``member`` off the solution it prints, so each
+    command makes one ``solve_exact`` call, counted both where the CLI
+    calls it and where ``membership`` would, and ``member`` still equals
+    oracle membership at, below and above the optimum."""
+    from rekern import cli, oracles
+
+    fields = _ROUND_TRIP_PAYLOADS.get(kind, {"graph": _ROUND_TRIP_GRAPH})
+    (payload,) = fields.values()
+    value = solve_exact(kind, payload).value
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return solve_exact(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_exact", counting)
+    monkeypatch.setattr(oracles, "solve_exact", counting)
+    for k in (value - 1, value, value + 1):
+        doc = formats.InstanceDocument(problem=kind, k=k, **fields)
+        path = tmp_path / "inst.json"
+        path.write_text(formats.emit_instance(doc))
+        calls.clear()
+        code, out = run_cli(capsys, "solve", "--problem", kind.value, "--input", str(path))
+        assert code == 0 and calls == [kind]
+        assert json.loads(out)["member"] == membership(kind, payload, k), k
 
 
 def test_dimacs_round_trip_and_indexing():

@@ -295,7 +295,7 @@ def test_extension_rule_yes_has_a_valid_decomposition():
     from rekern.smallgraphs import all_graphs_upto
     from tests.conftest import absent_pairs
 
-    extended = {"edge": 0, "every bag": 0, "leaf bag": 0}
+    extended = {"u joins": 0, "v joins": 0, "every bag": 0, "leaf bag": 0}
     for g in all_graphs_upto(6):
         td = solve_exact(PK.TREEWIDTH, g).witness
         additions = [EdgeAdd(u, v) for u, v in absent_pairs(g)]
@@ -309,9 +309,13 @@ def test_extension_rule_yes_has_a_valid_decomposition():
                 bags = list(td.bags)
                 tree_edges = list(td.tree.edges)
                 if isinstance(m, EdgeAdd):
-                    for i in _shortest_bag_path(td, m.u, m.v):
-                        bags[i] |= {m.u}
-                    rule = "edge"
+                    path = _shortest_bag_path(td, m.u, m.v)
+                    if all(len(bags[i]) <= k for i in path[1:]):
+                        joins, rule = m.u, "u joins"
+                    else:
+                        path, joins, rule = path[:-1], m.v, "v joins"
+                    for i in path:
+                        bags[i] |= {joins}
                 elif td.width < k:
                     bags = [bag | {g.n} for bag in bags]
                     rule = "every bag"
@@ -326,6 +330,22 @@ def test_extension_rule_yes_has_a_valid_decomposition():
                 assert out.width <= k, (g, m, k)
                 extended[rule] += 1
     assert all(extended.values()), extended
+
+
+def test_extension_rule_answers_both_edge_orientations_alike():
+    """``EdgeAdd(u, v)`` and ``EdgeAdd(v, u)`` name one edge, so the rule
+    gives them one answer: every atlas graph up to 6 vertices with the
+    oracle's decomposition, every absent edge, at k equal to the width and
+    one above it."""
+    from rekern.smallgraphs import all_graphs_upto
+    from tests.conftest import absent_pairs
+
+    for g in all_graphs_upto(6):
+        td = solve_exact(PK.TREEWIDTH, g).witness
+        for u, v in absent_pairs(g):
+            for k in (td.width, td.width + 1):
+                forward = extends_to(td, EdgeAdd(u, v), k)
+                assert forward == extends_to(td, EdgeAdd(v, u), k), (g, u, v, k)
 
 
 def test_dispatch_rejects_wrong_modification():

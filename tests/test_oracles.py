@@ -23,6 +23,7 @@ from rekern.oracles import (
     is_clique,
     is_connected_vertex_cover,
     is_vertex_cover,
+    membership,
     solve_exact,
     verify_kernel_equivalence,
     verify_solution,
@@ -518,6 +519,57 @@ def test_guards_run_before_any_adjacency_mask(kind, monkeypatch):
         with pytest.raises(SizeGuardExceeded):
             solve_exact(kind, g)
     assert built == []
+
+
+CEILING_KINDS = [PK.LONGEST_PATH, PK.IVST, PK.CLIQUE]
+
+
+@pytest.mark.parametrize("kind", CEILING_KINDS, ids=lambda k: k.value)
+def test_membership_above_the_ceiling_equals_the_unbudgeted_value(kind):
+    """For every k from 0 to n + 1, ``membership`` equals the comparison
+    with the unbudgeted optimum: on the empty graph, on every atlas graph
+    up to 6 vertices, and on the disjoint union of each of them with each
+    atlas graph up to 4 vertices (3,744 unions; all 21,736 pairs of the
+    6-vertex atlas take about 4 s per kind)."""
+    from rekern.smallgraphs import all_graphs_upto
+
+    atlas = list(all_graphs_upto(6, min_n=0))
+    small = list(all_graphs_upto(4))
+    graphs = atlas + [disjoint_union(g, h) for g in atlas[1:] for h in small]
+    for g in graphs:
+        value = solve_exact(kind, g).value
+        for k in range(g.n + 2):
+            assert membership(kind, g, k) == (value >= k), (g, k)
+
+
+@pytest.mark.parametrize(
+    "kind, g, k",
+    [
+        (PK.LONGEST_PATH, path_graph(5), 5),
+        (PK.LONGEST_PATH, Graph.from_edges(0), 1),
+        (PK.IVST, path_graph(5), 4),
+        (PK.IVST, Graph.from_edges(2, [(0, 1)]), 1),
+        (PK.CLIQUE, disjoint_union(complete_graph(3), path_graph(4)), 5),
+    ],
+    ids=["lp-path", "lp-empty", "ivst-path", "ivst-edge", "clique-union"],
+)
+def test_budget_above_the_ceiling_builds_and_solves_nothing(kind, g, k, monkeypatch):
+    """Above the largest component's ceiling the answer is no with no
+    copy, mask, cache lookup or solve."""
+
+    def refuse(*_args):
+        raise AssertionError("nothing may be built or solved above the ceiling")
+
+    for name in ("_solve_component", "induced_subgraph", "adjacency_masks"):
+        monkeypatch.setattr(oracles, name, refuse)
+    assert solve_exact(kind, g, budget=k) == oracles.ExactSolution(None, None)
+    assert membership(kind, g, k) is False
+
+
+@pytest.mark.parametrize("kind", CEILING_KINDS, ids=lambda k: k.value)
+def test_size_guard_runs_before_the_ceiling(kind):
+    with pytest.raises(SizeGuardExceeded):
+        membership(kind, path_graph(100_000), 1_000_000)
 
 
 # The five component kinds, each with its raw (uncached) solver.
