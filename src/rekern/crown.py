@@ -168,7 +168,7 @@ def crown_or_matching(g: Graph, k: int) -> CrownOrMatching:
     if g.n < 3 * k + 1:
         raise PreconditionViolated(f"need at least {3 * k + 1} vertices, got {g.n}")
 
-    m1 = greedy_matching(dict(enumerate(g.adjacency)))
+    m1 = greedy_matching(g)
     if m1.size >= k + 1:
         return CrownOrMatching(matching=Matching.of(sorted(m1.pairs)[: k + 1]))
 

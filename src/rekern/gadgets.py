@@ -261,14 +261,6 @@ class SetCoverCvcGadget:
     budget_c: int
     s1: frozenset[int]
 
-    @property
-    def rows(self) -> int:
-        return self.instance.k + 2
-
-    @property
-    def cols(self) -> int:
-        return self.instance.universe_size + 1
-
     def reopt_instance(self) -> ReoptInstance:
         return ReoptInstance(
             ProblemKind.CONNECTED_VERTEX_COVER,

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import AbstractSet, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .errors import SidesOverlap, TargetUnmatched
 from .graphs import Edge, Graph, normalize_edge
@@ -59,18 +59,18 @@ class Matching:
         return self._partner_view
 
 
-def greedy_matching(adjacency: Mapping[int, AbstractSet[int]]) -> Matching:
-    """Maximal matching: each free vertex, in ascending order, takes its
-    smallest free neighbour.
+def greedy_matching(g: Graph) -> Matching:
+    """Maximal matching of ``g``: each free vertex, in ascending order,
+    takes its smallest free neighbour.
 
     This picks the same pairs as scanning the edges in lexicographic order.
     """
     used: set[int] = set()
     pairs: list[Edge] = []
-    for v in sorted(adjacency):
+    for v, nbrs in enumerate(g.adjacency):
         if v in used:
             continue
-        free = adjacency[v] - used
+        free = nbrs - used
         if free:
             w = min(free)
             used.update((v, w))

@@ -10,12 +10,15 @@ solver enumerates candidates directly.
 Oracles are the verification backbone for every kernelizer in the
 package, so they stay exhaustive: no heuristic decides a value.  They
 avoid waste only where an argument shows it is exact.  All five
-component solvers run on one bitmask adjacency
-(``graphs.adjacency_masks``): vertex cover branches on a vertex or all
-its neighbours, clique grows in ascending order under a size bound, and
-both break ties with one rule (``_lex_first``); longest path, IVST and
-treewidth are subset DPs behind bounds that often settle the answer.
-Longest path and IVST share a table of the vertex sets that paths visit.
+component solvers and connected vertex cover run on one bitmask
+adjacency (``graphs.adjacency_masks``).  Both covers share one branching
+(``_cover_branches``) on a vertex or all its neighbours: vertex cover
+keeps its best leaf, and connected vertex cover grows each leaf into
+connected supersets.  Clique grows in ascending order under a size
+bound, and all three break ties with one rule (``_lex_first``).  Longest
+path, IVST and treewidth are subset DPs behind bounds that often settle
+the answer.  Longest path and IVST share a table of the vertex sets that
+paths visit.
 A path on all n vertices, or on n - 1 of them, is walked on its vertex
 set instead of scanning every set.  IVST answers n - 2 from a
 Hamiltonian path, the most any subtree can reach, since a tree on two
@@ -36,14 +39,15 @@ compositional dispatch ask about the same small graphs again and again.
 The loop splits the graph by union-find, which builds nothing, and
 guards every component by its size before any is copied or solved, so
 no adjacency of an over-large input is ever built and a cached answer
-never bypasses a guard.  A membership question passes its k as a budget:
-longest path, IVST and clique then answer "none within it" when the
-largest component's vertex count caps every solution below k (n - 1
-edges, n - 2 internal vertices, n vertices), with no copy, cache lookup
-or solve.  A graph with at most one component is solved in place.  Each
-kind's solver, verifier, component combine rule and ceiling sit in one
-table (``_ORACLES``); its size guard, witness shape and direction come
-from its row in ``rekern.problems``.
+never bypasses a guard; leaf out tree guards its largest weak component
+the same way before it builds any.  A membership question passes its k
+as a budget: longest path, IVST and clique then answer "none within it"
+when the largest component's vertex count caps every solution below k
+(n - 1 edges, n - 2 internal vertices, n vertices), with no copy, cache
+lookup or solve.  A graph with at most one component is solved in place.
+Each kind's solver, verifier, component combine rule and ceiling sit in
+one table (``_ORACLES``); its size guard, witness shape and direction
+come from its row in ``rekern.problems``.
 """
 
 from __future__ import annotations
@@ -61,11 +65,11 @@ from .graphs import (
     adjacency_masks,
     components,
     induced_subgraph,
+    mask_reach,
     normalize_edge,
     reach_within,
 )
 from .instances import KernelResult
-from .matching import greedy_matching
 from .problems import PROBLEMS, Direction, ProblemKind, WitnessShape
 from .setcover import SetCoverInstance
 
@@ -110,20 +114,19 @@ def is_vertex_cover(g: Graph, candidate: Iterable[int]) -> bool:
     return all(u in cover or v in cover for u, v in g.edges)
 
 
-def _solve_vertex_cover(g: Graph) -> ExactSolution:
-    """Minimum vertex cover, the lexicographically first among minimum ones.
-
-    Branches on the lowest vertex u of maximum degree in the uncovered
-    graph: either u joins the cover, or all of its uncovered neighbours
-    do (Cygan et al., *Parameterized Algorithms*, 2015, ch. 3).  A branch
-    goes on only while it is smaller than the best cover so far, so covers
-    that tie it still reach a leaf and ``_lex_first`` breaks the tie.
+def _cover_branches(
+    adjmask: list[int], best: list[int], leaf: Callable[[int, int], bool | None]
+) -> None:
+    """Enumerate vertex covers by branching on the lowest vertex u of
+    maximum degree in the uncovered graph: either u joins the cover, or all
+    of its uncovered neighbours do (Cygan et al., *Parameterized
+    Algorithms*, 2015, ch. 3).  Every vertex cover holds some leaf's cover,
+    and ``leaf(cover, size)`` takes each leaf; True from it ends the search.
+    An inner node goes on only while it is smaller than ``best[0]``, so
+    leaves that tie it still reach ``leaf``.
     """
-    adjmask = adjacency_masks(g)
-    best_size, best = g.n, (1 << g.n) - 1
 
-    def branch(rest: int, cover: int, size: int) -> None:
-        nonlocal best_size, best
+    def branch(rest: int, cover: int, size: int) -> bool | None:
         top = u = 0
         scan = rest
         while scan:
@@ -133,18 +136,29 @@ def _solve_vertex_cover(g: Graph) -> ExactSolution:
             if degree > top:
                 top, u = degree, low.bit_length() - 1
         if not top:
-            if size < best_size or (size == best_size and _lex_first(cover, best)):
-                best_size, best = size, cover
-            return
-        if size >= best_size:
-            return
+            return leaf(cover, size)
+        if size >= best[0]:
+            return False
         bit = 1 << u
-        branch(rest ^ bit, cover | bit, size + 1)
         nbrs = adjmask[u] & rest
-        branch(rest & ~(nbrs | bit), cover | nbrs, size + top)
+        return branch(rest ^ bit, cover | bit, size + 1) or branch(
+            rest & ~(nbrs | bit), cover | nbrs, size + top
+        )
 
-    branch((1 << g.n) - 1, 0, 0)
-    return ExactSolution(best_size, _vertex_set(best))
+    branch((1 << len(adjmask)) - 1, 0, 0)
+
+
+def _solve_vertex_cover(g: Graph) -> ExactSolution:
+    """Minimum vertex cover, the lexicographically first among minimum
+    ones: the best leaf of ``_cover_branches``."""
+    best = [g.n, (1 << g.n) - 1]
+
+    def keep(cover: int, size: int) -> None:
+        if size < best[0] or (size == best[0] and _lex_first(cover, best[1])):
+            best[:] = size, cover
+
+    _cover_branches(adjacency_masks(g), best, keep)
+    return ExactSolution(best[0], _vertex_set(best[1]))
 
 
 # --- connected vertex cover ------------------------------------------------
@@ -157,99 +171,60 @@ def is_connected_vertex_cover(g: Graph, candidate: Iterable[int]) -> bool:
     return len(cover) <= 1 or len(reach_within(g, min(cover), cover)) == len(cover)
 
 
-def _cvc_completions(
-    g: Graph,
-    cover: frozenset[int],
-    cap: int | None,
-    best: list[tuple[int, tuple[int, ...]]],
-) -> bool:
-    """Exhaustively grow ``cover`` until its induced subgraph is connected.
-
-    Every connected completion is reachable by repeatedly adding a vertex
-    adjacent to the component of the smallest cover vertex, so the search
-    only branches on those candidates.  With a cap, completions stay within
-    it and the search returns True at the first one it records.
-    """
-    stack = [cover]
-    seen = {cover}
-    while stack:
-        current = stack.pop()
-        if best and (len(current), tuple(sorted(current))) >= best[0]:
-            continue
-        anchor = reach_within(g, min(current), current)
-        if len(anchor) == len(current):
-            entry = (len(current), tuple(sorted(current)))
-            if not best or entry < best[0]:
-                best[:] = [entry]
-                if cap is not None:
-                    return True
-            continue
-        if cap is not None and len(current) >= cap:
-            continue
-        candidates: set[int] = set()
-        for a in anchor:
-            candidates |= g.adjacency[a]
-        for w in sorted(candidates - current):
-            grown = current | {w}
-            if grown not in seen:
-                seen.add(grown)
-                stack.append(grown)
-    return False
-
-
 def _solve_cvc(g: Graph, limit: int | None, cap: int | None) -> ExactSolution:
-    """Minimum connected vertex cover, or with ``cap`` the first connected
-    cover of size <= cap found; None if there is none.
+    """Minimum connected vertex cover, the lexicographically first among
+    minimum ones; with ``cap``, the first connected cover of at most cap
+    vertices found, which is enough for membership; None if there is none.
 
-    Enumerates covers by bounded branching on uncovered edges, then
-    completes each to a connected set within the remaining budget.  A cap
-    stops the search at its first connected cover, which is enough for
-    membership queries.
+    Every connected cover holds the cover of a ``_cover_branches`` leaf and
+    grows from it by adding, one at a time, a vertex next to the component
+    of its lowest vertex.  One set of masks seen serves leaves and grown
+    sets alike.
     """
     _guard(ProblemKind.CONNECTED_VERTEX_COVER, g.n, limit)
     if not g.edges:
         return ExactSolution(0, frozenset())
-    edge_comps = [c for c in components(g) if len(c) > 1]
-    if len(edge_comps) > 1:
-        return ExactSolution(None, None)
-    limit = cap if cap is not None else g.n
-    best: list[tuple[int, tuple[int, ...]]] = []
-    seen_covers: set[frozenset[int]] = set()
-    done = False
+    adjmask = adjacency_masks(g)
+    touched = sum(1 << v for v, nbrs in enumerate(adjmask) if nbrs)
+    if mask_reach(adjmask, touched & -touched, touched) != touched:
+        return ExactSolution(None, None)  # edges in two components
+    bound = g.n if cap is None else min(cap, g.n)
+    best = [bound + 1, (1 << g.n) - 1]  # no set of bound + 1 vertices beats it
+    seen: set[int] = set()
 
-    def branch(adj: dict[int, set[int]], chosen: frozenset[int]) -> None:
-        nonlocal done
-        if done or len(chosen) > limit:
-            return
-        live = {v: ns for v, ns in adj.items() if ns}
-        # Each edge of a matching forces its own cover vertex.
-        if len(chosen) + greedy_matching(live).size > limit:
-            return
-        if best and len(chosen) > best[0][0]:
-            return
-        if not live:
-            if chosen not in seen_covers:
-                seen_covers.add(chosen)
-                if _cvc_completions(g, chosen, cap, best):
-                    done = True
-            return
-        u = max(sorted(live), key=lambda v: len(live[v]))
-        # u in the cover:
-        branch({x: ns - {u} for x, ns in adj.items() if x != u}, chosen | {u})
-        # u excluded: every neighbor of u must be in the cover.
-        forced = set(adj[u])
-        reduced = {
-            x: {y for y in ns if y not in forced}
-            for x, ns in adj.items()
-            if x != u and x not in forced
-        }
-        branch(reduced, chosen | forced)
+    def grow(cover: int, _size: int) -> bool:
+        stack = [] if cover in seen else [cover]
+        seen.add(cover)
+        while stack:
+            current = stack.pop()
+            size = current.bit_count()
+            if size > best[0]:
+                continue
+            anchor = mask_reach(adjmask, current & -current, current)
+            if anchor == current:  # connected, and no larger than the best
+                if size < best[0] or _lex_first(current, best[1]):
+                    best[:] = size, current
+                    if cap is not None:
+                        return True
+            elif size < best[0]:
+                nbrs = 0
+                while anchor:
+                    low = anchor & -anchor
+                    anchor ^= low
+                    nbrs |= adjmask[low.bit_length() - 1]
+                nbrs &= ~current
+                while nbrs:
+                    low = nbrs & -nbrs
+                    nbrs ^= low
+                    if current | low not in seen:
+                        seen.add(current | low)
+                        stack.append(current | low)
+        return False
 
-    branch({v: set(g.adjacency[v]) for v in g.vertices}, frozenset())
-    if not best:
+    _cover_branches(adjmask, best, grow)
+    if best[0] > bound:
         return ExactSolution(None, None)
-    size, vertices = best[0]
-    return ExactSolution(size, frozenset(vertices))
+    return ExactSolution(best[0], _vertex_set(best[1]))
 
 
 # --- clique ----------------------------------------------------------------
@@ -737,18 +712,23 @@ def is_out_tree(d: Digraph, candidate: Iterable[tuple[int, int]], k: int) -> boo
 def _solve_leaf_out_tree(
     d: Digraph, limit: int | None, _budget: int | None
 ) -> ExactSolution:
-    """Most leaves of an out-tree: the first best weak component."""
+    """Most leaves of an out-tree: the first best weak component.  The
+    largest component is guarded before any is built, and one pass over
+    the arcs hands each to its component."""
+    comps = components(Graph.from_edges(d.n, d.arcs))
+    _guard(ProblemKind.LEAF_OUT_TREE, max(map(len, comps), default=0), limit)
+    part, back = [0] * d.n, [0] * d.n  # each vertex's component and new index
+    for i, comp in enumerate(comps):
+        for new, old in enumerate(comp):
+            part[old], back[old] = i, new
+    arcs: list[list[tuple[int, int]]] = [[] for _ in comps]
+    for u, v in d.arcs:
+        arcs[part[u]].append((back[u], back[v]))
     parts = []
-    for comp in components(Graph.from_edges(d.n, d.arcs)):
-        back = {old: new for new, old in enumerate(comp)}
-        sub = Digraph(
-            len(comp),
-            frozenset((back[u], back[v]) for u, v in d.arcs if u in back and v in back),
-        )
-        _guard(ProblemKind.LEAF_OUT_TREE, sub.n, limit)
-        local = _leaf_out_tree_component(sub)
-        arcs = _MAP_WITNESS[WitnessShape.PAIR_SET](local.witness, comp)
-        parts.append(ExactSolution(local.value, arcs))
+    for comp, local_arcs in zip(comps, arcs):
+        local = _leaf_out_tree_component(Digraph(len(comp), frozenset(local_arcs)))
+        witness = _MAP_WITNESS[WitnessShape.PAIR_SET](local.witness, comp)
+        parts.append(ExactSolution(local.value, witness))
     return _best_part(parts) if parts else ExactSolution(0, frozenset())
 
 

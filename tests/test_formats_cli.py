@@ -516,7 +516,7 @@ def test_cli_size_guard_exit_code(tmp_path, capsys):
 
 @pytest.mark.slow
 def test_cli_size_guard_on_a_long_path_under_a_memory_cap(tmp_path):
-    """Four commands that reach the exact oracle on a 3 * 10^5-vertex path
+    """Five commands that reach the exact oracle on a 3 * 10^5-vertex path
     exit 3 in a subprocess whose address space is capped at 3 GB: no
     command builds the path's adjacency masks before the size guard."""
     import os
@@ -545,6 +545,7 @@ def test_cli_size_guard_on_a_long_path_under_a_memory_cap(tmp_path):
     commands = [
         ["solve", "--problem", "vertex_cover", "--input", vc],
         ["solve", "--problem", "treewidth", "--input", vc],
+        ["solve", "--problem", "connected_vertex_cover", "--input", vc],
         ["reopt", "kernelize", "--problem", "ivst", "--input", ivst],
         ["verify", "kernel-equivalence", "--input", vc, "--result", str(result)],
     ]

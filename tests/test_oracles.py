@@ -424,9 +424,24 @@ def test_cover_and_clique_witnesses_on_larger_random_graphs(rng):
     for _ in range(40):
         g = random_graph(rng, rng.randint(8, 12), rng.choice([0.25, 0.5, 0.75]))
         optima = _brute_force_optima(g)
-        for kind in (PK.VERTEX_COVER, PK.CLIQUE):
+        for kind in (PK.VERTEX_COVER, PK.CLIQUE, PK.CONNECTED_VERTEX_COVER):
             got = solve_exact(kind, g)
             assert (got.value, got.witness) == optima[kind], (kind, g)
+
+
+def test_cvc_membership_equals_the_unbudgeted_value():
+    """For every atlas graph up to 6 vertices and every k from 0 to n + 1
+    (1,583 cases), the capped search answers as the minimum does."""
+    from rekern.smallgraphs import all_graphs_upto
+
+    cases = 0
+    for g in all_graphs_upto(6):
+        optimum = solve_exact(PK.CONNECTED_VERTEX_COVER, g)
+        for k in range(g.n + 2):
+            member = membership(PK.CONNECTED_VERTEX_COVER, g, k)
+            assert member == oracles.meets(PK.CONNECTED_VERTEX_COVER, optimum, k), (g, k)
+            cases += 1
+    assert cases == 1583
 
 
 def test_leaf_out_tree_star_and_path():
@@ -434,6 +449,28 @@ def test_leaf_out_tree_star_and_path():
     assert solve_exact(PK.LEAF_OUT_TREE, star).value == 3
     chain = Digraph.from_arcs(3, [(0, 1), (1, 2)])
     assert solve_exact(PK.LEAF_OUT_TREE, chain).value == 1
+
+
+def test_leaf_out_tree_guards_every_weak_component_before_solving_any(monkeypatch):
+    calls = []
+    real = oracles._leaf_out_tree_component
+
+    def counting(d):
+        calls.append(d.n)
+        return real(d)
+
+    monkeypatch.setattr(oracles, "_leaf_out_tree_component", counting)
+    m = 1000
+    arcs = [(2 * i, 2 * i + 1) for i in range(m)]
+    got = solve_exact(PK.LEAF_OUT_TREE, Digraph.from_arcs(2 * m, arcs))
+    assert (got.value, got.witness) == (1, frozenset({(0, 1)}))
+    assert calls == [2] * m
+    calls.clear()
+    # A 9-vertex path after the arcs is over the guard of 8 vertices.
+    tail = [(2 * m + i, 2 * m + i + 1) for i in range(8)]
+    with pytest.raises(SizeGuardExceeded):
+        solve_exact(PK.LEAF_OUT_TREE, Digraph.from_arcs(2 * m + 9, arcs + tail))
+    assert calls == []
 
 
 def test_set_cover_solver():
@@ -500,7 +537,11 @@ def test_size_guards():
         solve_exact(PK.TREEWIDTH, complete_graph(11))
 
 
-@pytest.mark.parametrize("kind", [PK.VERTEX_COVER, PK.TREEWIDTH], ids=lambda k: k.value)
+@pytest.mark.parametrize(
+    "kind",
+    [PK.VERTEX_COVER, PK.TREEWIDTH, PK.CONNECTED_VERTEX_COVER],
+    ids=lambda k: k.value,
+)
 def test_guards_run_before_any_adjacency_mask(kind, monkeypatch):
     """Every component is guarded by its size before any is solved, so a
     long path is refused without its masks, which take about n^2 / 16
