@@ -36,7 +36,6 @@ from .graphs import (
     VertexAdd,
     VertexDel,
     apply_modification,
-    component_of,
     components,
     disjoint_union,
     induced_subgraph,
@@ -97,7 +96,6 @@ __all__ = [
     "VertexAdd",
     "VertexDel",
     "apply_modification",
-    "component_of",
     "components",
     "disjoint_union",
     "induced_subgraph",

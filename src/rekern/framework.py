@@ -30,8 +30,9 @@ from .graphs import (
     components,
     disjoint_union,
     induced_subgraph,
+    split,
 )
-from .instances import KernelResult, ReoptInstance, as_concrete_instance
+from .instances import KernelResult, ReoptInstance
 from .oracles import membership
 from .problems import PROBLEMS, Compositionality, Monotonicity, ProblemKind
 
@@ -186,7 +187,12 @@ def compositional_reopt_kernelize(
         modified = inst.modified
         if not modified.n:  # no component to combine: ask about the empty graph
             return KernelResult.decided(spec.oracle(modified, inst.k_modified))
-        parts = [induced_subgraph(modified, c) for c in components(modified)]
+        comps = components(modified)
+        labels = modified.labels  # carried as ``induced_subgraph`` carries them
+        parts = [
+            (Graph(len(c), edges, labels and tuple(labels[v] for v in c)), c)
+            for c, edges in zip(comps, split(modified.n, modified.edges, comps))
+        ]
     elif or_mode or (
         isinstance(inst.witness, TreeDecomposition)
         and extends_to(inst.witness, inst.modification, inst.k)
@@ -212,10 +218,7 @@ def _avoids(witness: Any, m: LocalModification) -> bool:
 
 
 def ivst_reopt_kernelize_eplus(
-    inst: ReoptInstance,
-    ck: Callable[[Graph, int], KernelResult],
-    *,
-    prior_kernel: Graph | None = None,
+    inst: ReoptInstance, ck: Callable[[Graph, int], KernelResult]
 ) -> KernelResult:
     """Edge-addition reoptimization kernel for the internal-vertex-subtree
     problem.
@@ -223,18 +226,12 @@ def ivst_reopt_kernelize_eplus(
     With a witness subtree and k' = k the answer is yes outright (subtrees
     survive edge additions).  Without one, only the component containing
     the new edge can host a solution, so the component kernelizer settles
-    it.  When ``prior_kernel`` carries a kernel of the original instance
-    instead of a solution, the union of both kernels is returned.
+    it.
     """
     if inst.problem is not ProblemKind.IVST or not isinstance(
         inst.modification, EdgeAdd
     ):
         raise SpecModificationMismatch("expected an IVST instance under edge addition")
-    if prior_kernel is not None:
-        [(comp, _)] = environment(inst.original, inst.modification)
-        env_kernel, _ = as_concrete_instance(ck(comp, inst.k_modified))
-        union = disjoint_union(prior_kernel, env_kernel)
-        return KernelResult.reduced(union, inst.k_modified, size_bound_claim=union.n)
     return compositional_reopt_kernelize(inst, builtin_spec(ProblemKind.IVST), ck)
 
 

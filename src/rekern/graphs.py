@@ -15,7 +15,8 @@ operation (edge or vertex deletion, vertex addition,
 parent's edges and leaves the adjacency of its result to be built when
 needed; an induced subgraph on every vertex shares the parent's edge
 set instead.  ``components`` reads the edges alone, by union-find, and
-builds no adjacency either.
+builds no adjacency either; ``split`` then hands every edge (or arc) to
+its component in one pass.
 """
 
 from __future__ import annotations
@@ -321,11 +322,25 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     return _unchecked(len(index_map), edges, labels), index_map
 
 
-def component_of(g: Graph, v: int) -> tuple[Graph, tuple[int, ...]]:
-    """The component holding a vertex, found by one walk from it, as an
-    induced subgraph with the index map back to ``g``."""
-    g._check_vertex(v)
-    return induced_subgraph(g, reach_within(g, v, g.vertices))
+def split(
+    n: int, pairs: Iterable[Edge], parts: Sequence[Sequence[int]]
+) -> list[frozenset[Edge]]:
+    """Each part's edges or arcs, re-indexed to that part, in one pass.
+
+    ``parts`` are the components of ``pairs`` on vertices ``0..n-1``, as
+    ``components`` lists them: each part ascends, so re-indexing keeps the
+    vertex order, and a normalized edge stays normalized and an arc keeps
+    its direction.
+    """
+    part, back = [0] * n, [0] * n  # each vertex's part and new index
+    for i, comp in enumerate(parts):
+        for new, old in enumerate(comp):
+            part[old], back[old] = i, new
+    local: list[list[Edge]] = [[] for _ in parts]
+    for u, v in pairs:
+        local[part[u]].append((back[u], back[v]))
+    empty: frozenset[Edge] = frozenset()  # one shared by every edgeless part
+    return [frozenset(p) if p else empty for p in local]
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:

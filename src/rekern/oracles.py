@@ -33,18 +33,19 @@ meets the degeneracy, that order is the witness.  Otherwise the subset
 DP reads each fill degree from a table of Q(S, v), the vertices outside
 S that v reaches through S.  Every treewidth witness passes the
 validator on every solve.  ``solve_exact`` runs one component loop for
-all five and memoizes each component on the unlabelled ``(n, edges)`` in
-a bounded LRU cache (``_solve_component``), because kernel checks and
+all five and for leaf out tree, on the weak components of a digraph, and
+memoizes each component on the unlabelled ``(n, edges)`` or ``(n, arcs)``
+in a bounded LRU cache (``_solve_component``), because kernel checks and
 compositional dispatch ask about the same small graphs again and again.
-The loop splits the graph by union-find, which builds nothing, and
-guards every component by its size before any is copied or solved, so
-no adjacency of an over-large input is ever built and a cached answer
-never bypasses a guard; leaf out tree guards its largest weak component
-the same way before it builds any.  A membership question passes its k
-as a budget: longest path, IVST and clique then answer "none within it"
-when the largest component's vertex count caps every solution below k
-(n - 1 edges, n - 2 internal vertices, n vertices), with no copy, cache
-lookup or solve.  A graph with at most one component is solved in place.
+The loop finds the components by union-find, which builds nothing, and
+guards every one by its size before any is split or solved, so no
+adjacency of an over-large input is ever built and a cached answer never
+bypasses a guard.  One pass over the edges (``graphs.split``) then hands
+each to its component.  A membership question passes its k as a budget:
+longest path, IVST and clique then answer "none within it" when the
+largest component's vertex count caps every solution below k (n - 1
+edges, n - 2 internal vertices, n vertices), with no split, cache lookup
+or solve.  An instance with at most one component is solved in place.
 Each kind's solver, verifier, component combine rule and ceiling sit in
 one table (``_ORACLES``); its size guard, witness shape and direction
 come from its row in ``rekern.problems``.
@@ -64,10 +65,10 @@ from .graphs import (
     Graph,
     adjacency_masks,
     components,
-    induced_subgraph,
     mask_reach,
     normalize_edge,
     reach_within,
+    split,
 )
 from .instances import KernelResult
 from .problems import PROBLEMS, Direction, ProblemKind, WitnessShape
@@ -709,30 +710,9 @@ def is_out_tree(d: Digraph, candidate: Iterable[tuple[int, int]], k: int) -> boo
     return leaves >= k
 
 
-def _solve_leaf_out_tree(
-    d: Digraph, limit: int | None, _budget: int | None
-) -> ExactSolution:
-    """Most leaves of an out-tree: the first best weak component.  The
-    largest component is guarded before any is built, and one pass over
-    the arcs hands each to its component."""
-    comps = components(Graph.from_edges(d.n, d.arcs))
-    _guard(ProblemKind.LEAF_OUT_TREE, max(map(len, comps), default=0), limit)
-    part, back = [0] * d.n, [0] * d.n  # each vertex's component and new index
-    for i, comp in enumerate(comps):
-        for new, old in enumerate(comp):
-            part[old], back[old] = i, new
-    arcs: list[list[tuple[int, int]]] = [[] for _ in comps]
-    for u, v in d.arcs:
-        arcs[part[u]].append((back[u], back[v]))
-    parts = []
-    for comp, local_arcs in zip(comps, arcs):
-        local = _leaf_out_tree_component(Digraph(len(comp), frozenset(local_arcs)))
-        witness = _MAP_WITNESS[WitnessShape.PAIR_SET](local.witness, comp)
-        parts.append(ExactSolution(local.value, witness))
-    return _best_part(parts) if parts else ExactSolution(0, frozenset())
-
-
 def _leaf_out_tree_component(d: Digraph) -> ExactSolution:
+    """Most leaves of an out-tree in one weak component, over every arc
+    subset, the first best in subset order."""
     arcs = sorted(d.arcs)
     if len(arcs) > LEAF_OUT_TREE_ARC_GUARD:
         raise SizeGuardExceeded(
@@ -798,11 +778,11 @@ _MAP_WITNESS = {
 }
 
 
-# With ``combine``, ``solve`` takes one connected component and ``combine``
-# folds the components' solutions; without it, ``solve`` takes the whole
-# instance, the size limit and the budget.  ``ceiling`` maps a component's
-# vertex count to the most any solution on it can reach, for a maximization
-# kind whose bound needs no solve.
+# With ``combine``, ``solve`` takes one connected component (a weak one of a
+# digraph) and ``combine`` folds the components' solutions; without it,
+# ``solve`` takes the whole instance, the size limit and the budget.
+# ``ceiling`` maps a component's vertex count to the most any solution on it
+# can reach, for a maximization kind whose bound needs no solve.
 class _Oracle(NamedTuple):
     solve: Callable[..., ExactSolution]
     verify: Callable[[Any, Any, int], bool]
@@ -848,7 +828,9 @@ _ORACLES = {
         and not validate_tree_decomposition(g, c),
         _chain_decompositions,
     ),
-    ProblemKind.LEAF_OUT_TREE: _Oracle(_solve_leaf_out_tree, is_out_tree),
+    ProblemKind.LEAF_OUT_TREE: _Oracle(
+        _leaf_out_tree_component, is_out_tree, _best_part
+    ),
 }
 
 _PAYLOAD_TYPES = {"graph": Graph, "digraph": Digraph, "set_cover": SetCoverInstance}
@@ -856,14 +838,15 @@ _PAYLOAD_TYPES = {"graph": Graph, "digraph": Digraph, "set_cover": SetCoverInsta
 
 @lru_cache(maxsize=256)
 def _solve_component(
-    kind: ProblemKind, n: int, edges: frozenset[tuple[int, int]]
+    kind: ProblemKind, n: int, pairs: frozenset[tuple[int, int]]
 ) -> ExactSolution:
-    """Exact solution of one component, memoized on ``(kind, n, edges)``.
+    """Exact solution of one component, memoized on ``(kind, n, pairs)``:
+    the edges of a graph kind, the arcs of a digraph kind.
 
     Labels are not part of the key, so a hit returns exactly what the
     solver returns on the unlabelled graph.  Callers run ``_guard`` first.
     """
-    return _ORACLES[kind].solve(Graph(n, edges))
+    return _ORACLES[kind].solve(_PAYLOAD_TYPES[PROBLEMS[kind].payload](n, pairs))
 
 
 def solve_exact(
@@ -875,12 +858,15 @@ def solve_exact(
 ) -> ExactSolution:
     """Exact optimum and a witness for any supported problem.
 
+    A kind with a combine rule is solved per component (a weak one of a
+    digraph); all are guarded before ``split`` builds any, in one pass.
+
     ``budget`` is the k of a membership question.  A value of ``None`` in
     the result means no solution within it: for connected vertex cover the
     budget bounds the search (and ``None`` also means no connected cover
     at all when edges span several components); for longest path, IVST and
     clique it means the largest component's size ceiling is below the
-    budget, decided after the size guard and before any copy, cache lookup
+    budget, decided after the size guard and before any split, cache lookup
     or solve.  Other problems ignore it, and without a budget every kind
     returns its optimum.
     """
@@ -890,21 +876,24 @@ def solve_exact(
     solve, _, combine, ceiling = _ORACLES[kind]
     if combine is None:
         return solve(instance, limit, budget)
-    g = instance
-    comps = components(g)
+    if payload is Digraph:  # weak components: those of the underlying graph
+        pairs = instance.arcs
+        comps = components(Graph.from_edges(instance.n, pairs))
+    else:
+        pairs = instance.edges
+        comps = components(instance)
     largest = max(map(len, comps), default=0)
-    # Guarding the largest part guards them all, before any is copied or solved.
+    # Guarding the largest part guards them all, before any is split or solved.
     _guard(kind, largest, limit)
     if budget is not None and ceiling is not None and ceiling(largest) < budget:
         return ExactSolution(None, None)
-    if len(comps) <= 1:  # its own labels, so no copy to map back
-        return _solve_component(kind, g.n, g.edges)
+    if len(comps) <= 1:  # its own labels, so nothing to map back
+        return _solve_component(kind, instance.n, pairs)
     map_witness = _MAP_WITNESS[PROBLEMS[kind].witness]
     parts = []
-    for comp in comps:
-        sub, idx = induced_subgraph(g, comp)
-        local = _solve_component(kind, sub.n, sub.edges)
-        parts.append(ExactSolution(local.value, map_witness(local.witness, idx)))
+    for comp, local_pairs in zip(comps, split(instance.n, pairs, comps)):
+        local = _solve_component(kind, len(comp), local_pairs)
+        parts.append(ExactSolution(local.value, map_witness(local.witness, comp)))
     return combine(parts)
 
 

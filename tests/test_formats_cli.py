@@ -569,6 +569,46 @@ def test_cli_size_guard_on_a_long_path_under_a_memory_cap(tmp_path):
         assert run.stderr.startswith("size guard:"), argv
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "problem, payload",
+    [("vertex_cover", "graph"), ("leaf_out_tree", "digraph")],
+)
+def test_cli_solve_on_a_million_isolated_vertices(problem, payload, tmp_path):
+    """``solve`` on 10^6 isolated vertices, each its own component, exits
+    0 with value 0 and an empty witness: one pass splits the instance, so
+    the cost stays linear in the vertex count."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import rekern
+
+    n = 1_000_000
+    pairs = "edges" if payload == "graph" else "arcs"
+    doc = {
+        "format": "rekern-instance",
+        "version": 1,
+        "problem": problem,
+        payload: {"n": n, pairs: []},
+    }
+    path = tmp_path / "isolated.json"
+    path.write_text(json.dumps(doc))
+    src = str(Path(rekern.__file__).resolve().parents[1])
+    argv = ["solve", "--problem", problem, "--input", str(path)]
+    run = subprocess.run(
+        [sys.executable, "-m", "rekern.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=600,
+    )
+    assert run.returncode == 0, run.stderr[-2000:]
+    out = json.loads(run.stdout)
+    assert (out["problem"], out["value"], out["witness"]) == (problem, 0, [])
+
+
 def test_cli_usage_error():
     assert run_command(["kernelize", "vc", "--mode", "bogus"]) == 2
     assert run_command(["nonsense"]) == 2

@@ -133,6 +133,25 @@ def test_vertex_deletion_dispatch_builds_one_environment(monkeypatch, witness, k
     assert out.answer == membership(PK.LONGEST_PATH, inst.modified, k)
 
 
+@pytest.mark.parametrize("labels", [None, tuple("abcdefg")], ids=["plain", "labelled"])
+def test_every_component_dispatch_hands_over_the_induced_copies(labels):
+    """When the witness settles nothing, the component kernelizer gets each
+    component of the modified graph as its induced copy, labels included."""
+    g = Graph(7, disjoint_union(star_graph(3), path_graph(3)).edges, labels)
+    inst = ReoptInstance(PK.LONGEST_PATH, g, 2, (1, 0, 2), EdgeDel(4, 5), 3)
+    seen = []
+
+    def recording(comp, k):
+        seen.append(comp)
+        return KernelResult.decided(False)
+
+    out = compositional_reopt_kernelize(inst, builtin_spec(PK.LONGEST_PATH), recording)
+    modified = inst.modified
+    expected = [induced_subgraph(modified, c)[0] for c in components(modified)]
+    assert out.is_decided and out.answer is False
+    assert seen == expected and [c.labels for c in seen] == [c.labels for c in expected]
+
+
 # --- dispatch ---------------------------------------------------------------
 
 
@@ -506,16 +525,6 @@ def test_ivst_eplus_bridging_edges():
     inst = ReoptInstance(PK.IVST, g, 1, None, EdgeAdd(1, 2), 1)
     out = ivst_reopt_kernelize_eplus(inst, exact_ck(PK.IVST))
     assert out.is_decided and out.answer is True
-
-
-def test_ivst_eplus_union_kernel_variant():
-    g = Graph.from_edges(4, [(0, 1), (2, 3)])
-    inst = ReoptInstance(PK.IVST, g, 1, None, EdgeAdd(1, 2), 1)
-    prior = build_extremal(PK.IVST, 1)
-    out = ivst_reopt_kernelize_eplus(inst, exact_ck(PK.IVST), prior_kernel=prior)
-    assert out.is_reduced
-    assert out.graph.n >= prior.n
-    assert membership(PK.IVST, out.graph, 1)
 
 
 def test_canonical_yes_instance_sizes():

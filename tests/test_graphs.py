@@ -2,6 +2,7 @@ import pytest
 
 from rekern.errors import ModificationInvalid, VertexOutOfRange
 from rekern.graphs import (
+    Digraph,
     EdgeAdd,
     EdgeDel,
     Graph,
@@ -10,7 +11,6 @@ from rekern.graphs import (
     adjacency_masks,
     apply_modification,
     complete_graph,
-    component_of,
     components,
     cycle_graph,
     disjoint_union,
@@ -18,6 +18,7 @@ from rekern.graphs import (
     mask_reach,
     path_graph,
     reach_within,
+    split,
 )
 
 
@@ -100,29 +101,40 @@ def test_modification_round_trip(rng):
         assert back == g
 
 
-def test_components_partition_and_component_of():
+def test_components_partition_and_split():
     g = disjoint_union(path_graph(3), path_graph(2))
     comps = components(g)
     assert comps == [[0, 1, 2], [3, 4]]
-    sub, idx = component_of(g, 4)
-    assert sub.n == 2 and sub.edges == frozenset({(0, 1)}) and idx == (3, 4)
-    with pytest.raises(VertexOutOfRange):
-        component_of(g, 99)
+    assert split(g.n, g.edges, comps) == [
+        frozenset({(0, 1), (1, 2)}),
+        frozenset({(0, 1)}),
+    ]
 
 
-def test_component_of_equals_the_component_split():
-    """On every atlas graph with up to 6 vertices, labelled so labels are
-    carried too, the walk from each vertex gives the induced copy of the
-    ``components`` entry that holds it."""
+def test_split_equals_the_induced_subgraphs_and_keeps_arc_directions(rng):
+    """On every atlas graph with up to 6 vertices, labelled, each part's
+    edges are those of the induced copy of its component; on random
+    digraphs, each part's arcs are those inside its weak component, in
+    their direction."""
     from rekern.smallgraphs import all_graphs_upto
 
-    for plain in all_graphs_upto(6):
+    for plain in all_graphs_upto(6, min_n=0):
         g = Graph(plain.n, plain.edges, tuple(f"v{i}" for i in range(plain.n)))
-        for comp in components(g):
-            expected = induced_subgraph(g, comp)
-            for v in comp:
-                got = component_of(g, v)
-                assert got == expected and got[0].labels == expected[0].labels
+        comps = components(g)
+        got = split(g.n, g.edges, comps)
+        assert got == [induced_subgraph(g, comp)[0].edges for comp in comps]
+    for _ in range(60):
+        n = rng.randint(1, 12)
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        d = Digraph.from_arcs(n, [arc for arc in pairs if rng.random() < 0.1])
+        comps = components(Graph.from_edges(n, d.arcs))
+        got = split(n, d.arcs, comps)
+        assert len(got) == len(comps)
+        for comp, arcs in zip(comps, got):
+            inside = set(comp)
+            assert {(comp[u], comp[v]) for u, v in arcs} == {
+                (u, v) for u, v in d.arcs if u in inside
+            }
 
 
 def test_components_cover_disjoint_connected(rng):

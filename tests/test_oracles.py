@@ -452,25 +452,78 @@ def test_leaf_out_tree_star_and_path():
 
 
 def test_leaf_out_tree_guards_every_weak_component_before_solving_any(monkeypatch):
+    """Every weak component is guarded before any is solved; equal
+    components share one cached solve."""
     calls = []
-    real = oracles._leaf_out_tree_component
+    row = oracles._ORACLES[PK.LEAF_OUT_TREE]
 
     def counting(d):
         calls.append(d.n)
-        return real(d)
+        return row.solve(d)
 
-    monkeypatch.setattr(oracles, "_leaf_out_tree_component", counting)
+    counted = row._replace(solve=counting)
+    monkeypatch.setitem(oracles._ORACLES, PK.LEAF_OUT_TREE, counted)
+    oracles._solve_component.cache_clear()
     m = 1000
     arcs = [(2 * i, 2 * i + 1) for i in range(m)]
     got = solve_exact(PK.LEAF_OUT_TREE, Digraph.from_arcs(2 * m, arcs))
     assert (got.value, got.witness) == (1, frozenset({(0, 1)}))
-    assert calls == [2] * m
+    assert calls == [2]
     calls.clear()
+    oracles._solve_component.cache_clear()
     # A 9-vertex path after the arcs is over the guard of 8 vertices.
     tail = [(2 * m + i, 2 * m + i + 1) for i in range(8)]
     with pytest.raises(SizeGuardExceeded):
         solve_exact(PK.LEAF_OUT_TREE, Digraph.from_arcs(2 * m + 9, arcs + tail))
     assert calls == []
+
+
+def _first_best_weak_component(d: Digraph) -> oracles.ExactSolution:
+    """Leaf out tree by hand: each weak component's digraph, built from
+    the arcs inside it, solved by the raw solver and mapped back; the
+    first best wins."""
+    best = None
+    for comp in components(Graph.from_edges(d.n, d.arcs)):
+        index = {v: i for i, v in enumerate(comp)}
+        local = Digraph.from_arcs(
+            len(comp), [(index[u], index[v]) for u, v in d.arcs if u in index]
+        )
+        got = oracles._leaf_out_tree_component(local)
+        if best is None or got.value > best.value:
+            witness = frozenset((comp[u], comp[v]) for u, v in got.witness)
+            best = oracles.ExactSolution(got.value, witness)
+    return best or oracles.ExactSolution(0, frozenset())
+
+
+def test_leaf_out_tree_is_the_first_best_weak_component(rng):
+    """On random disconnected digraphs, a cold and a warm ``solve_exact``
+    both equal the first best weak component solved on its own."""
+    checked = 0
+    for _ in range(150):
+        n = rng.randint(0, 12)
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        arcs = [arc for arc in pairs if rng.random() < 0.12]
+        d = Digraph.from_arcs(n, arcs)
+        comps = components(Graph.from_edges(n, arcs))
+        if len(comps) < 2 or max(map(len, comps)) > 8:
+            continue
+        expected = _first_best_weak_component(d)
+        oracles._solve_component.cache_clear()
+        assert solve_exact(PK.LEAF_OUT_TREE, d) == expected, d
+        assert solve_exact(PK.LEAF_OUT_TREE, d) == expected, d
+        checked += 1
+    assert checked == 86
+
+
+def test_many_disjoint_edges_solve_in_one_split():
+    """10^4 disjoint edges and a triangle: one pass hands every edge to its
+    component, and equal components share one cached solve."""
+    m = 10_000
+    edges = [(2 * i, 2 * i + 1) for i in range(m)]
+    edges += [(2 * m, 2 * m + 1), (2 * m + 1, 2 * m + 2), (2 * m, 2 * m + 2)]
+    got = solve_exact(PK.VERTEX_COVER, Graph.from_edges(2 * m + 3, edges))
+    assert got.value == m + 2
+    assert got.witness == frozenset(range(0, 2 * m, 2)) | {2 * m, 2 * m + 1}
 
 
 def test_set_cover_solver():
@@ -601,7 +654,7 @@ def test_budget_above_the_ceiling_builds_and_solves_nothing(kind, g, k, monkeypa
     def refuse(*_args):
         raise AssertionError("nothing may be built or solved above the ceiling")
 
-    for name in ("_solve_component", "induced_subgraph", "adjacency_masks"):
+    for name in ("_solve_component", "split", "adjacency_masks"):
         monkeypatch.setattr(oracles, name, refuse)
     assert solve_exact(kind, g, budget=k) == oracles.ExactSolution(None, None)
     assert membership(kind, g, k) is False
