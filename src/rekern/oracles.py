@@ -17,38 +17,42 @@ keeps its best leaf, and connected vertex cover grows each leaf into
 connected supersets.  Clique grows in ascending order under a size
 bound, and all three break ties with one rule (``_lex_first``).  Longest
 path, IVST and treewidth are subset DPs behind bounds that often settle
-the answer.  Longest path and IVST share a table of the vertex sets that
-paths visit.
-A path on all n vertices, or on n - 1 of them, is walked on its vertex
-set instead of scanning every set.  IVST answers n - 2 from a
-Hamiltonian path, the most any subtree can reach, since a tree on two
-or more vertices has at least two leaves.  Without one, a subtree spans
-the graph with three leaves or misses a vertex, so IVST answers n - 3
-from a path on n - 1 vertices.  Only graphs with neither run its subset
-DP, which attaches a root's children in one canonical order instead of
-every order.  Treewidth is at least the degeneracy, since every subgraph
-of a graph of treewidth t has a vertex of degree at most t, and at most
-the width of any elimination order; when the min-degree order's width
-meets the degeneracy, that order is the witness.  Otherwise the subset
-DP reads each fill degree from a table of Q(S, v), the vertices outside
-S that v reaches through S.  Every treewidth witness passes the
-validator on every solve.  ``solve_exact`` runs one component loop for
-all five and for leaf out tree, on the weak components of a digraph, and
-memoizes each component on the unlabelled ``(n, edges)`` or ``(n, arcs)``
-in a bounded LRU cache (``_solve_component``), because kernel checks and
+the answer, and each builds its witness from the pass that found its
+value.  Longest path and IVST share a table of the vertex sets that
+paths visit and walk each path back through it on its vertex set; the
+first longest path is the smallest walk over the sets of largest size.
+IVST answers n - 2 from a Hamiltonian path, the most any subtree can
+reach, since a tree on two or more vertices has at least two leaves.
+Without one, a subtree spans the graph with three leaves or misses a
+vertex, so IVST answers n - 3 from a path on n - 1 vertices.  Only
+graphs with neither run its subset DP, which attaches a root's children
+in one canonical order instead of every order.  Treewidth is at least
+the degeneracy, since every subgraph of a graph of treewidth t has a
+vertex of degree at most t, and at most the width of any elimination
+order; when the min-degree order's width meets the degeneracy, that
+order is the witness.  Otherwise the subset DP reads each fill degree
+from a table of Q(S, v), the vertices outside S that v reaches through
+S.  Either pass records each vertex's later set (its neighbours once the
+vertices before it are eliminated with fill), and these sets are the
+decomposition's bags.  Every treewidth witness passes the validator on
+every solve.  ``solve_exact`` runs one component loop for all five and
+for leaf out tree, on the weak components of a digraph, and memoizes
+each component on the unlabelled ``(n, edges)`` or ``(n, arcs)`` in a
+bounded LRU cache (``_solve_component``), because kernel checks and
 compositional dispatch ask about the same small graphs again and again.
 The loop finds the components by union-find, which builds nothing, and
 guards every one by its size before any is split or solved, so no
 adjacency of an over-large input is ever built and a cached answer never
 bypasses a guard.  One pass over the edges (``graphs.split``) then hands
-each to its component.  A membership question passes its k as a budget:
-longest path, IVST and clique then answer "none within it" when the
-largest component's vertex count caps every solution below k (n - 1
-edges, n - 2 internal vertices, n vertices), with no split, cache lookup
-or solve.  An instance with at most one component is solved in place.
-Each kind's solver, verifier, component combine rule and ceiling sit in
-one table (``_ORACLES``); its size guard, witness shape and direction
-come from its row in ``rekern.problems``.
+each to its component, and the combine rule folds their solutions one at
+a time.  A membership question passes its k as a budget: longest path,
+IVST and clique then answer "none within it" when the largest
+component's vertex count caps every solution below k (n - 1 edges, n - 2
+internal vertices, n vertices), with no split, cache lookup or solve.
+An instance with at most one component is solved in place.  Each kind's
+solver, verifier, component combine rule and ceiling sit in one table
+(``_ORACLES``); its size guard, witness shape and direction come from
+its row in ``rekern.problems``.
 """
 
 from __future__ import annotations
@@ -324,33 +328,16 @@ def _near_spanning_path(adjmask: list[int], ends: list[int]) -> tuple[int, ...] 
 
 
 def _first_longest_path(adjmask: list[int], ends: list[int]) -> tuple[int, ...]:
-    """The longest path with the lowest start, then at each step the lowest
-    neighbour that starts a path of the remaining length outside the
-    visited set.  A path on n or n - 1 vertices is walked on its vertex
-    set; any shorter one reads, at each step, the masks of one size,
-    bucketed once."""
+    """The lexicographically first longest path.  A path on n or n - 1
+    vertices is walked on its vertex set; otherwise every vertex set of
+    the largest size that ``ends`` marks is walked, and the smallest walk
+    wins, since the first longest path is the first path on its own set."""
     near = _near_spanning_path(adjmask, ends)
     if near is not None:
         return near
-    by_size: dict[int, list[int]] = {}
-    for mask, last in enumerate(ends):
-        if last:
-            by_size.setdefault(mask.bit_count(), []).append(mask)
-    path: list[int] = []
-    visited, allowed = 0, -1
-    for _, masks in sorted(by_size.items(), reverse=True):
-        starts = 0
-        for mask in masks:
-            if not mask & visited:
-                starts |= ends[mask]
-        starts &= allowed
-        if not starts:
-            raise AssertionError("path reconstruction failed")
-        low = starts & -starts
-        path.append(low.bit_length() - 1)
-        visited |= low
-        allowed = adjmask[path[-1]]
-    return tuple(path)
+    top = max(mask.bit_count() for mask, last in enumerate(ends) if last)
+    sets = (mask for mask, last in enumerate(ends) if last and mask.bit_count() == top)
+    return min(_walk_path(adjmask, ends, mask) for mask in sets)
 
 
 def _solve_longest_path(g: Graph) -> ExactSolution:
@@ -397,13 +384,13 @@ def _solve_ivst(g: Graph) -> ExactSolution:
     adjmask = adjacency_masks(g)
     path = _near_spanning_path(adjmask, _path_ends(adjmask))
     if path is None:
-        return _ivst_subset_dp(g)
+        return _ivst_subset_dp(adjmask)
     return ExactSolution(
         len(path) - 2, frozenset(normalize_edge(a, b) for a, b in zip(path, path[1:]))
     )
 
 
-def _ivst_subset_dp(g: Graph) -> ExactSolution:
+def _ivst_subset_dp(adjmask: list[int]) -> ExactSolution:
     """Maximum internal vertices over all subtrees, by subset DP.
 
     States (S, v, c): a tree spanning vertex set S rooted at v whose root
@@ -416,8 +403,7 @@ def _ivst_subset_dp(g: Graph) -> ExactSolution:
     reads strict submasks only, which are numerically smaller, so masks
     run in ascending order over flat per-vertex tables.
     """
-    n = g.n
-    adjmask = adjacency_masks(g)
+    n = len(adjmask)
     size = 1 << n
     NEG = -1
     dp1 = [[NEG] * size for _ in range(n)]  # dp1[v][S]: root degree 1
@@ -513,8 +499,9 @@ def _ivst_subset_dp(g: Graph) -> ExactSolution:
 # --- treewidth ---------------------------------------------------------------
 
 
-def _tw_elimination(g: Graph) -> tuple[int, list[int]]:
-    """Treewidth and an optimal elimination order via DP over subsets.
+def _tw_elimination(adjmask: list[int]) -> tuple[int, list[int], list[int]]:
+    """Treewidth, an optimal elimination order and each vertex's later
+    set in it, via DP over subsets.
 
     Eliminating v last within S costs |Q(S - v, v)|, where Q(S, v) holds
     the vertices outside S u {v} that v reaches through S.  With w the
@@ -522,12 +509,12 @@ def _tw_elimination(g: Graph) -> tuple[int, list[int]]:
     (Q(S - w, v) | Q(S - w, w)) - {w, v} (Bodlaender, Fomin, Koster,
     Kratsch and Thilikos, "On exact algorithms for treewidth", 2012).  Both
     tables read strict submasks only, so one ascending pass fills them.
+    Q(S - v, v) is also v's later set: its neighbours once the vertices
+    before it are eliminated with fill (Rose, Tarjan and Lueker, 1976).
     """
-    n = g.n
-    if n == 0:
-        return -1, []
+    n = len(adjmask)
     size = 1 << n
-    q = adjacency_masks(g) + [0] * ((size - 1) * n)  # Q({}, v) = N(v)
+    q = adjmask + [0] * ((size - 1) * n)  # Q({}, v) = N(v)
     f = [-1] * size
     choice = [0] * size
     for mask in range(1, size):
@@ -553,35 +540,22 @@ def _tw_elimination(g: Graph) -> tuple[int, list[int]]:
         f[mask] = best
         choice[mask] = best_v
 
-    order = []
-    mask = size - 1
-    while mask:
-        order.append(choice[mask])
-        mask ^= 1 << order[-1]
-    order.reverse()  # choice[mask] is the vertex eliminated last within mask
-    return f[size - 1], order
+    order, later, mask = [], [0] * n, size - 1
+    while mask:  # choice[mask] is the vertex eliminated last within mask
+        v = choice[mask]
+        mask ^= 1 << v
+        order.append(v)
+        later[v] = q[mask * n + v]
+    return f[size - 1], order[::-1], later
 
 
-def _td_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
-    """Tree decomposition induced by an elimination order (fill-in method).
-
-    A forward pass eliminates the vertices in order, turning each one's
-    later neighbours into a clique; a backward pass then gives each vertex
-    the bag {v} u later(v), in reverse order, and attaches it to the first
-    earlier bag holding later(v) (bag 0 if none).
-    """
-    if g.n == 0:
+def _td_from_order(order: list[int], later: list[int]) -> TreeDecomposition:
+    """Tree decomposition of an elimination order, given each vertex's
+    later set: its neighbours once the vertices before it are eliminated
+    with fill.  Each vertex, in reverse order, gets the bag {v} u later(v),
+    attached to the first earlier bag holding later(v) (bag 0 if none)."""
+    if not order:
         return TreeDecomposition(Graph.from_edges(1), (frozenset(),))
-    adjmask = adjacency_masks(g)
-    remaining = (1 << g.n) - 1
-    later = [0] * g.n
-    for v in order:
-        remaining ^= 1 << v
-        rest = later[v] = nbrs = adjmask[v] & remaining
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            adjmask[low.bit_length() - 1] |= nbrs ^ low
     masks: list[int] = []
     tree_edges = []
     for v in reversed(order):
@@ -608,16 +582,17 @@ def _min_degree(adjmask: list[int], rest: int) -> tuple[int, int]:
     return best, best_v
 
 
-def _tw_bounds(adjmask: list[int]) -> tuple[int, int, list[int]]:
-    """A lower and an upper bound on treewidth, and an elimination order
-    whose width is the upper one.
+def _tw_bounds(adjmask: list[int]) -> tuple[int, int, list[int], list[int]]:
+    """A lower and an upper bound on treewidth, an elimination order whose
+    width is the upper one, and each vertex's later set in that order.
 
     The lower bound is the degeneracy: every subgraph of a graph of
     treewidth t has a vertex of degree at most t, so peeling a least-degree
     vertex never meets a degree above t.  The upper bound is the width of
     the min-degree elimination with fill, lowest vertex first on ties: any
     elimination order's width bounds treewidth from above (Bodlaender and
-    Koster, "Treewidth computations II. Lower bounds", 2011).
+    Koster, "Treewidth computations II. Lower bounds", 2011).  Nothing
+    changes ``filled[v]`` once v is eliminated, so it keeps v's later set.
     """
     every = (1 << len(adjmask)) - 1
     lower, rest = -1, every
@@ -632,12 +607,12 @@ def _tw_bounds(adjmask: list[int]) -> tuple[int, int, list[int]]:
         upper = max(upper, degree)
         rest ^= 1 << v
         order.append(v)
-        nbrs = scan = filled[v] & rest
+        nbrs = scan = filled[v] = filled[v] & rest
         while scan:
             low = scan & -scan
             scan ^= low
             filled[low.bit_length() - 1] |= nbrs ^ low
-    return lower, upper, order
+    return lower, upper, order, filled
 
 
 def _solve_treewidth(g: Graph) -> ExactSolution:
@@ -645,10 +620,11 @@ def _solve_treewidth(g: Graph) -> ExactSolution:
     solve.  When the degeneracy meets the min-degree width, that width is
     the treewidth and its order the witness; only graphs where the bounds
     differ run the subset DP."""
-    lower, width, order = _tw_bounds(adjacency_masks(g))
+    adjmask = adjacency_masks(g)
+    lower, width, order, later = _tw_bounds(adjmask)
     if lower != width:
-        width, order = _tw_elimination(g)
-    td = _td_from_order(g, order)
+        width, order, later = _tw_elimination(adjmask)
+    td = _td_from_order(order, later)
     problems = validate_tree_decomposition(g, td)
     if problems or td.width != width:
         raise AssertionError(f"bad witness decomposition: {problems}")
@@ -723,39 +699,39 @@ def _leaf_out_tree_component(d: Digraph) -> ExactSolution:
     for mask in range(1, 1 << len(arcs)):
         subset = [arcs[i] for i in range(len(arcs)) if (mask >> i) & 1]
         vertices = {x for arc in subset for x in arc}
-        if len(subset) != len(vertices) - 1:
-            continue
-        if is_out_tree(d, subset, 0):
+        if len(subset) == len(vertices) - 1 and is_out_tree(d, subset, 0):
             # In an out-tree the leaves are the vertices entered but never left.
             leaves = len({v for _, v in subset} - {u for u, _ in subset})
             if leaves > best:
-                best = leaves
-                best_witness = frozenset(subset)
+                best, best_witness = leaves, frozenset(subset)
     return ExactSolution(best, best_witness)
 
 
 # --- dispatch ----------------------------------------------------------------
 
 
-def _sum_covers(parts: list[ExactSolution]) -> ExactSolution:
+def _sum_covers(parts: Iterable[ExactSolution]) -> ExactSolution:
     """A cover is a sum over components."""
-    return ExactSolution(
-        sum(part.value for part in parts),
-        frozenset().union(*(part.witness for part in parts)),
-    )
+    value, cover = 0, set()
+    for part in parts:
+        value += part.value
+        cover |= part.witness
+    return ExactSolution(value, frozenset(cover))
 
 
-def _best_part(parts: list[ExactSolution]) -> ExactSolution:
+def _best_part(parts: Iterable[ExactSolution]) -> ExactSolution:
     """A connected solution object: the first best component holds it."""
     return max(parts, key=lambda part: part.value)
 
 
-def _chain_decompositions(parts: list[ExactSolution]) -> ExactSolution:
+def _chain_decompositions(parts: Iterable[ExactSolution]) -> ExactSolution:
     """Width is the maximum over components; one witness decomposition must
     cover them all, so their trees are chained into one tree."""
+    width = -1
     bags: list[frozenset[int]] = []
     tree_edges: list[tuple[int, int]] = []
     for part in parts:
+        width = max(width, part.value)
         td: TreeDecomposition = part.witness
         offset = len(bags)
         if offset:
@@ -763,7 +739,7 @@ def _chain_decompositions(parts: list[ExactSolution]) -> ExactSolution:
         tree_edges.extend((offset + a, offset + b) for a, b in td.tree.edges)
         bags.extend(td.bags)
     td = TreeDecomposition(Graph.from_edges(len(bags), tree_edges), tuple(bags))
-    return ExactSolution(max(part.value for part in parts), td)
+    return ExactSolution(width, td)
 
 
 # A component's witness in the whole instance's labels.  ``idx`` ascends,
@@ -779,14 +755,15 @@ _MAP_WITNESS = {
 
 
 # With ``combine``, ``solve`` takes one connected component (a weak one of a
-# digraph) and ``combine`` folds the components' solutions; without it,
+# digraph) and ``combine`` folds the components' solutions in one pass over
+# a stream, so one mapped solution is alive at a time; without it,
 # ``solve`` takes the whole instance, the size limit and the budget.
 # ``ceiling`` maps a component's vertex count to the most any solution on it
 # can reach, for a maximization kind whose bound needs no solve.
 class _Oracle(NamedTuple):
     solve: Callable[..., ExactSolution]
     verify: Callable[[Any, Any, int], bool]
-    combine: Callable[[list[ExactSolution]], ExactSolution] | None = None
+    combine: Callable[[Iterable[ExactSolution]], ExactSolution] | None = None
     ceiling: Callable[[int], int] | None = None
 
 
@@ -890,11 +867,13 @@ def solve_exact(
     if len(comps) <= 1:  # its own labels, so nothing to map back
         return _solve_component(kind, instance.n, pairs)
     map_witness = _MAP_WITNESS[PROBLEMS[kind].witness]
-    parts = []
-    for comp, local_pairs in zip(comps, split(instance.n, pairs, comps)):
-        local = _solve_component(kind, len(comp), local_pairs)
-        parts.append(ExactSolution(local.value, map_witness(local.witness, comp)))
-    return combine(parts)
+
+    def mapped() -> Iterable[ExactSolution]:
+        for comp, local_pairs in zip(comps, split(instance.n, pairs, comps)):
+            local = _solve_component(kind, len(comp), local_pairs)
+            yield ExactSolution(local.value, map_witness(local.witness, comp))
+
+    return combine(mapped())
 
 
 def meets(kind: ProblemKind, solution: ExactSolution, k: int) -> bool:

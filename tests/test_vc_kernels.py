@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rekern.crown import CrownDecomposition
 from rekern.errors import (
@@ -474,3 +478,74 @@ def test_both_kernel_modes_on_a_planted_cover_of_100000_vertices(tmp_path, capsy
     if out3["kind"] == "reduced":
         assert out3["graph"]["n"] <= 3 * k
     assert answer(out2) is truth and answer(out3) is truth
+
+
+@st.composite
+def _planted_reopt(draw):
+    """A vertex cover instance on 50 to 2,000 vertices, labelled ``v<i>``:
+    side A, the first |A| vertices, is independent and covers every edge;
+    each vertex of side B has one to ``spread`` neighbours in A, or, with
+    probability ``lone``, none.  The added edge joins two B vertices that
+    have edges (any two, or two with a common neighbour), touches A, or
+    has an end at an isolated vertex of B; k >= |A| and k' <= k."""
+    n = draw(st.integers(50, 2000))
+    size_a = n * draw(st.sampled_from((1, 3, 5))) // 10
+    spread = draw(st.integers(1, 4))  # below |A|: each b has a non-neighbour
+    lone = draw(st.sampled_from((0.0, 0.05, 0.3)))
+    place = draw(st.sampled_from(("inside-b", "siblings", "touching-a", "isolated")))
+    k = size_a + draw(st.integers(0, 2))
+    k2 = k - draw(st.integers(0, 3))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    isolated = {b for b in range(size_a, n) if rng.random() < lone}
+    if place == "isolated":
+        isolated.add(n - 1)
+    busy = [b for b in range(size_a, n) if b not in isolated]
+    assume(len(busy) >= 2)
+    edges = {
+        (a, b) for b in busy for a in rng.sample(range(size_a), rng.randint(1, spread))
+    }
+    if place == "touching-a":
+        v = rng.randrange(size_a, n)
+        u = rng.choice([a for a in range(size_a) if (a, v) not in edges])
+    elif place == "siblings":
+        below: dict[int, list[int]] = {}
+        for a, b in sorted(edges):
+            below.setdefault(a, []).append(b)
+        shared = [bs for bs in below.values() if len(bs) > 1]
+        assume(shared)
+        u, v = rng.sample(rng.choice(shared), 2)
+    else:
+        u = n - 1 if place == "isolated" else rng.choice(busy)
+        v = rng.choice([b for b in busy if b != u])
+    g = Graph.from_edges(n, edges, [f"v{i}" for i in range(n)])
+    return vc_instance(g, k, frozenset(range(size_a)), u, v, k2=k2)
+
+
+def _kernel_answer(result: KernelResult, size_a: int) -> bool:
+    """The kernel's answer; a reduced graph's sides are read from its
+    ``v<i>`` labels."""
+    if result.is_decided:
+        return result.answer
+    in_a = [int(label[1:]) < size_a for label in result.graph.labels]
+    return _cover_number(sorted(result.graph.edges), in_a.__getitem__) <= result.parameter
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_planted_reopt())
+def test_both_kernels_answer_as_koenig_on_planted_covers(inst):
+    """On planted covers, the 2k kernel and the 3k' kernel of the modified
+    graph answer as König's theorem does, and each meets its size bound:
+    2k, or 2k + 1 on the degenerate case-5 branch, and 3k'."""
+    size_a = len(inst.witness)
+    modified = inst.modified
+    truth = _cover_number(sorted(modified.edges), lambda w: w < size_a) <= inst.k_modified
+    report = reopt_vc_kernelize_2k_report(inst)
+    classic = vc_kernelize_3k(modified, inst.k_modified)
+    if report.result.is_reduced:
+        kept = report.result.graph.n
+        degenerate = "case5-degenerate" in report.trace
+        assert kept <= 2 * inst.k or (degenerate and kept == 2 * inst.k + 1)
+    if classic.is_reduced:
+        assert classic.graph.n <= 3 * inst.k_modified
+    assert _kernel_answer(report.result, size_a) is truth, report.trace
+    assert _kernel_answer(classic, size_a) is truth
