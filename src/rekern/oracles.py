@@ -335,9 +335,9 @@ def _first_longest_path(adjmask: list[int], ends: list[int]) -> tuple[int, ...]:
     near = _near_spanning_path(adjmask, ends)
     if near is not None:
         return near
-    top = max(mask.bit_count() for mask, last in enumerate(ends) if last)
-    sets = (mask for mask, last in enumerate(ends) if last and mask.bit_count() == top)
-    return min(_walk_path(adjmask, ends, mask) for mask in sets)
+    marked = [mask for mask, last in enumerate(ends) if last]
+    top = max(mask.bit_count() for mask in marked)
+    return min(_walk_path(adjmask, ends, m) for m in marked if m.bit_count() == top)
 
 
 def _solve_longest_path(g: Graph) -> ExactSolution:

@@ -487,7 +487,10 @@ def _planted_reopt(draw):
     each vertex of side B has one to ``spread`` neighbours in A, or, with
     probability ``lone``, none.  The added edge joins two B vertices that
     have edges (any two, or two with a common neighbour), touches A, or
-    has an end at an isolated vertex of B; k >= |A| and k' <= k."""
+    has an end at an isolated vertex of B; k >= |A| and k' <= k.  The
+    per-vertex choices come from a seeded generator, since drawing them
+    one by one through Hypothesis costs several times the test's budget;
+    n, the shape draws and the seed still shrink."""
     n = draw(st.integers(50, 2000))
     size_a = n * draw(st.sampled_from((1, 3, 5))) // 10
     spread = draw(st.integers(1, 4))  # below |A|: each b has a non-neighbour
